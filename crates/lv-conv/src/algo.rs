@@ -99,6 +99,22 @@ pub struct PreparedWeights {
     pub data: AlignedVec,
 }
 
+impl PreparedWeights {
+    /// All-zero weights in `algo`'s layout for `s`: the buffer length
+    /// [`prepare_weights`] produces, with no source weights to convert.
+    /// For timing-only runs, whose cycles do not depend on weight values.
+    pub fn zeroed(algo: Algo, s: &ConvShape) -> Self {
+        let len = match algo {
+            Algo::Gemm3 | Algo::Gemm6 | Algo::Direct => s.weight_len(),
+            Algo::Winograd => {
+                assert!(algo.applicable(s), "Winograd prepared for a non-3x3/s1 layer");
+                winograd::transformed_len(s)
+            }
+        };
+        PreparedWeights { algo, shape: *s, data: AlignedVec::zeroed(len) }
+    }
+}
+
 /// Convert OIHW weights into the layout `algo` wants.
 pub fn prepare_weights(algo: Algo, s: &ConvShape, w_oihw: &[f32]) -> PreparedWeights {
     assert_eq!(w_oihw.len(), s.weight_len(), "weight length mismatch");
@@ -221,6 +237,20 @@ mod tests {
         assert!(!Algo::Winograd.applicable(&one));
         assert!(Algo::Direct.applicable(&stride2));
         assert!(Algo::Gemm3.applicable(&one));
+    }
+
+    #[test]
+    fn zeroed_weights_match_prepared_layout_length() {
+        let shapes = [ConvShape::same_pad(3, 5, 12, 3, 1), ConvShape::same_pad(4, 6, 12, 3, 2)];
+        for s in shapes {
+            let w = pseudo_buf(s.weight_len(), 7);
+            for a in ALL_ALGOS.into_iter().filter(|a| a.applicable(&s)) {
+                let z = PreparedWeights::zeroed(a, &s);
+                assert_eq!((z.algo, z.shape), (a, s));
+                assert_eq!(z.data.len(), prepare_weights(a, &s, &w).data.len(), "{a}");
+                assert!(z.data.iter().all(|&x| x == 0.0));
+            }
+        }
     }
 
     #[test]

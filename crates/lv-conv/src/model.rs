@@ -15,8 +15,8 @@
 //! and bounded by `lv-models::calib` — see `DESIGN.md` "Two-tier
 //! simulation".
 
-use lv_sim::fastmodel::{MemClass, Phase, Workload, LINE_BYTES};
-use lv_sim::MachineConfig;
+use lv_sim::fastmodel::{MemClass, Phase, Workload};
+use lv_sim::{MachineConfig, LINE_BYTES};
 use lv_tensor::ConvShape;
 
 use crate::algo::Algo;

@@ -81,11 +81,17 @@ const OC_BLOCK: usize = 8;
 /// Input-channel block of the tuple-multiplication stage.
 const IC_BLOCK: usize = 64;
 
+/// Length of [`transform_weights`]' output: one 64-element tuple per
+/// (output, input) channel pair.
+pub fn transformed_len(s: &ConvShape) -> usize {
+    s.oc * s.ic * TUPLE
+}
+
 /// Offline weight transform: OIHW 3x3 weights -> `[oc][ic][64]` tuples,
 /// each tile stored transposed (`(G g G^T)^T`). Host-side, uncharged.
 pub fn transform_weights(s: &ConvShape, w_oihw: &[f32]) -> AlignedVec {
     assert!(s.winograd_applicable());
-    let mut out = AlignedVec::zeroed(s.oc * s.ic * TUPLE);
+    let mut out = AlignedVec::zeroed(transformed_len(s));
     let mut gg = [[0.0f32; 3]; 8];
     let mut v = [[0.0f32; 8]; 8];
     for oc in 0..s.oc {

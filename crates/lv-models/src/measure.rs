@@ -1,9 +1,9 @@
 //! Single-layer measurement: the primitive behind every per-layer figure
 //! in the paper (Figs. 1-8) and the classifier's training grid.
 
-use lv_conv::{prepare_weights, run_conv, Algo};
+use lv_conv::{run_conv, Algo, PreparedWeights};
 use lv_sim::{Machine, MachineConfig, Stats};
-use lv_tensor::{pseudo_buf, pseudo_weights, ConvShape};
+use lv_tensor::{AlignedVec, ConvShape};
 use serde::{Deserialize, Serialize};
 
 /// Result of measuring one (layer, hardware config, algorithm) point.
@@ -38,15 +38,19 @@ impl LayerMeasurement {
 /// Measure one layer with one algorithm on one hardware design point.
 /// Returns `None` when the algorithm does not apply to the layer (the
 /// per-layer comparison figures leave those bars out).
+///
+/// The outputs are discarded, so the layer runs on a
+/// [timing-only](Machine::timing_only) machine over zeroed buffers of the
+/// algorithm's layout lengths: dense-CNN cycle counts do not depend on the
+/// data, and no data is generated, converted or computed.
 pub fn measure_layer(cfg: &MachineConfig, s: &ConvShape, algo: Algo) -> Option<LayerMeasurement> {
     if !algo.applicable(s) {
         return None;
     }
-    let input = pseudo_buf(s.input_len(), 101);
-    let w = pseudo_weights(s.weight_len(), s.ic * s.kh * s.kw, 102);
-    let prepared = prepare_weights(algo, s, &w);
+    let input = AlignedVec::zeroed(s.input_len());
+    let prepared = PreparedWeights::zeroed(algo, s);
     let mut out = vec![0.0f32; s.output_len()];
-    let mut m = Machine::new(*cfg);
+    let mut m = Machine::new(*cfg).timing_only();
     run_conv(&mut m, algo, s, &input, &prepared, &mut out);
     let stats = m.stats();
     Some(LayerMeasurement {

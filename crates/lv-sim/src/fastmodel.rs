@@ -19,12 +19,7 @@
 //! `repro calibrate` artifact, CI). See `DESIGN.md` "Two-tier simulation".
 
 use crate::config::{CostModel, MachineConfig, VpuStyle};
-
-/// Cache lines are 64 bytes in the machine's touch accounting (the
-/// geometry's `line_bytes` configures the tag arrays, but the timing
-/// model's range-touch loops walk 64-byte lines); the fast model mirrors
-/// that constant so its line counts price the same events.
-pub const LINE_BYTES: u64 = 64;
+use crate::LINE_BYTES;
 
 /// One class of memory traffic inside a [`Phase`]: a set of accesses that
 /// share an instruction shape (unit-stride / strided / segment), a data

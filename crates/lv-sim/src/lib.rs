@@ -32,7 +32,8 @@
 //!
 //! Every operation both computes real `f32` results and advances the cycle
 //! model, so the same kernel code is unit-testable for correctness and
-//! usable for the co-design sweeps.
+//! usable for the co-design sweeps. A [`Machine::timing_only`] machine
+//! advances the cycle model alone, for sweep cells that discard outputs.
 
 #![warn(missing_docs)]
 
@@ -49,7 +50,7 @@ pub use config::{
     KIB, MIB,
 };
 pub use lint::LintState;
-pub use machine::{Machine, VReg, NUM_VREGS};
+pub use machine::{Machine, VReg, LINE_BYTES, NUM_VREGS};
 pub use stats::Stats;
 
 /// Revision of the timing model. Bump whenever a change to this crate can

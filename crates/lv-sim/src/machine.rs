@@ -3,13 +3,23 @@
 //! Kernels are written against this type exactly like intrinsics code: they
 //! request a vector length with [`Machine::vsetvl`], move data between host
 //! slices and the 32-entry vector register file, and issue arithmetic on
-//! registers. Every operation simultaneously
+//! registers. Every operation
 //!
 //! 1. **computes** the real f32 result (so kernels are functionally testable
 //!    against golden references), and
 //! 2. **advances the cycle model**: issue + startup + `ceil(vl / elems-per-
 //!    cycle)` beats for arithmetic, plus per-cache-line costs for memory
 //!    operations routed through a real set-associative L1/L2 hierarchy.
+//!
+//! A [timing-only](Machine::timing_only) machine does step 2 alone. It
+//! skips each operation's f32 data movement and arithmetic but keeps every
+//! length and bounds assert, every [`Stats`] counter and every cache
+//! access. That is sound because no kernel branches on data values, so
+//! dense-CNN cycle counts are data-independent; the parity tests check it
+//! op by op (`tests/timing_only.rs`) and kernel by kernel (`lv-models`).
+//! Callers that discard outputs (the sweep cells behind
+//! `lv_models::measure_layer`) run timing-only; everything that reads
+//! outputs (conformance checks, network runs, kernel tests) computes.
 //!
 //! Host slice addresses double as simulated physical addresses, so cache
 //! behaviour reflects the kernels' true access patterns and footprints.
@@ -28,6 +38,18 @@ pub struct VReg(pub u8);
 /// Number of architectural vector registers (RVV and SVE both have 32).
 pub const NUM_VREGS: usize = 32;
 
+/// Bytes per cache line in the machine's touch accounting. The geometry's
+/// `line_bytes` sizes the tag arrays, but every memory operation walks
+/// 64-byte lines; the analytical tier ([`crate::fastmodel`]) and the
+/// kernels' workload models count lines with this same constant.
+pub const LINE_BYTES: u64 = 64;
+
+/// The line holding byte address `addr`.
+#[inline]
+fn line_of(addr: usize) -> u64 {
+    addr as u64 / LINE_BYTES
+}
+
 /// The simulated machine: vector register file, cache hierarchy, cycle model.
 pub struct Machine {
     cfg: MachineConfig,
@@ -38,9 +60,19 @@ pub struct Machine {
     l1: Cache,
     l2: Cache,
     stats: Stats,
-    /// Line-address memo for the last touched line, to dedup per-element
-    /// touches in strided/gather accesses.
+    /// f32 elements retired per cycle by the arithmetic pipes.
     epc: u64,
+    /// `ceil(vl / epc)`: execution beats of one instruction at the current
+    /// `vl`, refreshed by `vsetvl` and `reset`.
+    beats: u64,
+    /// `ceil(vl / gather_elems_per_cycle)`: gather/segment sequencing
+    /// cycles at the current `vl`, refreshed with `beats`.
+    gather_beats: u64,
+    /// Depth of `vredsum`'s reduction tree, `ceil(log2(epc))`.
+    redsum_tree: u64,
+    /// Whether operations move and compute f32 data (`false` on a
+    /// [timing-only](Machine::timing_only) machine).
+    compute: bool,
     /// Optional L2 access trace: `(cycle, line)` per L2 access, for the
     /// shared-cache contention replay (`lv-serving`).
     l2_trace: Option<Vec<(u64, u64)>>,
@@ -72,7 +104,8 @@ impl Machine {
     pub fn try_new(cfg: MachineConfig) -> Result<Self, crate::ConfigError> {
         cfg.validate()?;
         let mvl = cfg.vlen_elems();
-        Ok(Self {
+        let epc = cfg.elems_per_cycle() as u64;
+        let mut m = Self {
             mvl,
             vl: mvl,
             vregs: vec![0.0; NUM_VREGS * mvl].into_boxed_slice(),
@@ -80,14 +113,31 @@ impl Machine {
             l1: Cache::new(cfg.l1),
             l2: Cache::new(cfg.l2),
             stats: Stats::default(),
-            epc: cfg.elems_per_cycle() as u64,
+            epc,
+            beats: 0,
+            gather_beats: 0,
+            redsum_tree: (epc as f64).log2().ceil() as u64,
+            compute: true,
             l2_trace: None,
             tracer: Tracer::disabled(),
             trace_track: TrackId::new(1, 0),
             region_stack: Vec::new(),
             lint: None,
             cfg,
-        })
+        };
+        m.refresh_vl_costs();
+        Ok(m)
+    }
+
+    /// Turn this machine timing-only: operations skip their f32 data
+    /// movement and arithmetic (registers and destination buffers keep
+    /// whatever they held; [`Machine::vredsum`] returns 0) but charge
+    /// exactly the cycles, counters and cache accesses a computing machine
+    /// would, and keep every length and bounds assert. For callers that
+    /// discard the outputs; see the module docs for why it is sound.
+    pub fn timing_only(mut self) -> Self {
+        self.compute = false;
+        self
     }
 
     // ---------------------------------------------------------------- lint
@@ -247,9 +297,19 @@ impl Machine {
         self.l1.reset();
         self.l2.reset();
         self.vl = self.mvl;
+        self.refresh_vl_costs();
         if let Some(l) = self.lint.as_deref_mut() {
             l.on_reset();
         }
+    }
+
+    /// Recompute the per-instruction costs that depend only on `vl`, so
+    /// the hot path reads them instead of dividing on every operation.
+    #[inline]
+    fn refresh_vl_costs(&mut self) {
+        let vl = self.vl as u64;
+        self.beats = vl.div_ceil(self.epc);
+        self.gather_beats = vl.div_ceil(self.cfg.cost.gather_elems_per_cycle.max(1));
     }
 
     // ---------------------------------------------------------------- core
@@ -258,7 +318,11 @@ impl Machine {
     #[inline]
     pub fn vsetvl(&mut self, avl: usize) -> usize {
         debug_assert!(avl > 0, "vsetvl with zero avl");
-        self.vl = avl.min(self.mvl);
+        let vl = avl.min(self.mvl);
+        if vl != self.vl {
+            self.vl = vl;
+            self.refresh_vl_costs();
+        }
         self.stats.cycles += self.cfg.cost.vsetvl;
         self.stats.vsetvls += 1;
         if let Some(l) = self.lint.as_deref_mut() {
@@ -274,19 +338,27 @@ impl Machine {
         &self.vregs[base..base + self.vl]
     }
 
+    /// The live elements of destination register `r`, or `None` on a
+    /// timing-only machine (which writes no data).
     #[inline]
-    fn reg_mut(&mut self, r: VReg) -> &mut [f32] {
+    fn reg_mut(&mut self, r: VReg) -> Option<&mut [f32]> {
+        if !self.compute {
+            return None;
+        }
         let base = r.0 as usize * self.mvl;
-        &mut self.vregs[base..base + self.vl]
+        Some(&mut self.vregs[base..base + self.vl])
     }
 
     /// Split the register file into one mutable destination and up to two
-    /// shared sources. Panics if the destination aliases a source (RVV
-    /// allows it, but our kernels never rely on it and aliasing here would
-    /// be a kernel bug).
+    /// shared sources, or `None` on a timing-only machine. Panics if the
+    /// destination aliases a source in either mode (RVV allows it, but our
+    /// kernels never rely on it and aliasing here would be a kernel bug).
     #[inline]
-    fn reg_dss(&mut self, d: VReg, a: VReg, b: VReg) -> (&mut [f32], &[f32], &[f32]) {
+    fn reg_dss(&mut self, d: VReg, a: VReg, b: VReg) -> Option<(&mut [f32], &[f32], &[f32])> {
         assert!(d != a && d != b, "destination register aliases a source");
+        if !self.compute {
+            return None;
+        }
         let vl = self.vl;
         let mvl = self.mvl;
         let ptr = self.vregs.as_mut_ptr();
@@ -294,11 +366,11 @@ impl Machine {
         // (d != a, d != b asserted above; a == b is fine for shared refs),
         // and vl <= mvl so the slices stay inside their segments.
         unsafe {
-            (
+            Some((
                 std::slice::from_raw_parts_mut(ptr.add(d.0 as usize * mvl), vl),
                 std::slice::from_raw_parts(ptr.add(a.0 as usize * mvl), vl),
                 std::slice::from_raw_parts(ptr.add(b.0 as usize * mvl), vl),
-            )
+            ))
         }
     }
 
@@ -306,9 +378,8 @@ impl Machine {
 
     #[inline]
     fn arith_cost(&mut self, n_instr: u64) {
-        let beats = (self.vl as u64).div_ceil(self.epc);
         let c = &self.cfg.cost;
-        self.stats.cycles += n_instr * (c.issue + c.arith_startup + beats);
+        self.stats.cycles += n_instr * (c.issue + c.arith_startup + self.beats);
         self.stats.vector_instrs += n_instr;
         self.stats.vector_elems += n_instr * self.vl as u64;
     }
@@ -364,12 +435,44 @@ impl Machine {
         if bytes == 0 {
             return 0;
         }
-        let line_bytes = 64usize;
-        let first = (addr / line_bytes) as u64;
-        let last = ((addr + bytes - 1) / line_bytes) as u64;
         let mut cost = 0;
-        for line in first..=last {
+        for line in line_of(addr)..=line_of(addr + bytes - 1) {
             cost += self.line_cost(line, false);
+        }
+        cost
+    }
+
+    /// Touch `n` elements `stride` bytes apart from `addr` (strided and
+    /// gather accesses): a line is charged again only when it differs from
+    /// the previous element's. Returns cycles.
+    fn touch_elems(&mut self, addr: usize, stride: usize, n: usize) -> u64 {
+        let mut cost = 0u64;
+        let mut last_line = u64::MAX;
+        for i in 0..n {
+            let line = line_of(addr + i * stride);
+            if line != last_line {
+                cost += self.line_cost(line, false);
+                last_line = line;
+            }
+        }
+        cost
+    }
+
+    /// Touch `n` contiguous segments of `seg` bytes, segment `s` at
+    /// `addr + s * stride` bytes (segment loads and stores): every line of
+    /// every segment, except that a segment starting on the line the
+    /// previous one ended on does not charge it twice. Returns cycles.
+    fn touch_segs(&mut self, addr: usize, seg: usize, stride: usize, n: usize) -> u64 {
+        let mut cost = 0u64;
+        let mut last_line = u64::MAX;
+        for s in 0..n {
+            let a0 = addr + s * stride;
+            for line in line_of(a0)..=line_of(a0 + seg - 1) {
+                if line != last_line {
+                    cost += self.line_cost(line, false);
+                    last_line = line;
+                }
+            }
         }
         cost
     }
@@ -391,8 +494,10 @@ impl Machine {
         assert!(src.len() >= vl, "vle32 source too short: {} < {}", src.len(), vl);
         self.mem_instr_base();
         let cost = self.touch_range(src.as_ptr() as usize, vl * 4);
-        self.stats.cycles += cost.max((vl as u64).div_ceil(self.epc));
-        self.reg_mut(vd).copy_from_slice(&src[..vl]);
+        self.stats.cycles += cost.max(self.beats);
+        if let Some(d) = self.reg_mut(vd) {
+            d.copy_from_slice(&src[..vl]);
+        }
         self.lint_write(vd);
         self.lint_tick();
     }
@@ -405,9 +510,10 @@ impl Machine {
         self.lint_read(vs, "vse32");
         self.mem_instr_base();
         let cost = self.touch_range(dst.as_ptr() as usize, vl * 4);
-        self.stats.cycles += cost.max((vl as u64).div_ceil(self.epc));
-        let base = vs.0 as usize * self.mvl;
-        dst[..vl].copy_from_slice(&self.vregs[base..base + vl]);
+        self.stats.cycles += cost.max(self.beats);
+        if self.compute {
+            dst[..vl].copy_from_slice(self.reg(vs));
+        }
         self.lint_tick();
     }
 
@@ -415,8 +521,7 @@ impl Machine {
 
     #[inline]
     fn gather_extra(&mut self) {
-        let g = self.cfg.cost.gather_elems_per_cycle.max(1);
-        self.stats.cycles += (self.vl as u64).div_ceil(g);
+        self.stats.cycles += self.gather_beats;
     }
 
     /// `vlse32.v`: strided load, element `i` comes from `src[i * stride]`.
@@ -425,22 +530,11 @@ impl Machine {
         assert!(stride > 0 && (vl - 1) * stride < src.len(), "vlse32 out of bounds");
         self.mem_instr_base();
         self.gather_extra();
-        let base_addr = src.as_ptr() as usize;
-        let mut cost = 0u64;
-        let mut last_line = u64::MAX;
-        for i in 0..vl {
-            let a = base_addr + i * stride * 4;
-            let line = (a / 64) as u64;
-            if line != last_line {
-                cost += self.line_cost(line, false);
-                last_line = line;
+        self.stats.cycles += self.touch_elems(src.as_ptr() as usize, stride * 4, vl);
+        if let Some(d) = self.reg_mut(vd) {
+            for (i, r) in d.iter_mut().enumerate() {
+                *r = src[i * stride];
             }
-        }
-        self.stats.cycles += cost;
-        let mvl = self.mvl;
-        let regs = &mut self.vregs[vd.0 as usize * mvl..vd.0 as usize * mvl + vl];
-        for (i, r) in regs.iter_mut().enumerate() {
-            *r = src[i * stride];
         }
         self.lint_write(vd);
         self.lint_tick();
@@ -453,21 +547,11 @@ impl Machine {
         self.lint_read(vs, "vsse32");
         self.mem_instr_base();
         self.gather_extra();
-        let base_addr = dst.as_ptr() as usize;
-        let mut cost = 0u64;
-        let mut last_line = u64::MAX;
-        for i in 0..vl {
-            let a = base_addr + i * stride * 4;
-            let line = (a / 64) as u64;
-            if line != last_line {
-                cost += self.line_cost(line, false);
-                last_line = line;
+        self.stats.cycles += self.touch_elems(dst.as_ptr() as usize, stride * 4, vl);
+        if self.compute {
+            for (i, &v) in self.reg(vs).iter().enumerate() {
+                dst[i * stride] = v;
             }
-        }
-        self.stats.cycles += cost;
-        let base = vs.0 as usize * self.mvl;
-        for i in 0..vl {
-            dst[i * stride] = self.vregs[base + i];
         }
         self.lint_tick();
     }
@@ -492,32 +576,20 @@ impl Machine {
         assert!((nsegs - 1) * seg_stride + seg_len <= src.len(), "vload_seg out of bounds");
         self.mem_instr_base();
         self.gather_extra();
-        let base_addr = src.as_ptr() as usize;
-        let mut cost = 0u64;
-        let mut last_line = u64::MAX;
-        for s in 0..nsegs {
-            let a0 = base_addr + s * seg_stride * 4;
-            let first = (a0 / 64) as u64;
-            let last = ((a0 + seg_len * 4 - 1) / 64) as u64;
-            for line in first..=last {
-                if line != last_line {
-                    cost += self.line_cost(line, false);
-                    last_line = line;
-                }
+        self.stats.cycles +=
+            self.touch_segs(src.as_ptr() as usize, seg_len * 4, seg_stride * 4, nsegs);
+        if let Some(d) = self.reg_mut(vd) {
+            for (s, seg) in d.chunks_exact_mut(seg_len).enumerate() {
+                let off = s * seg_stride;
+                seg.copy_from_slice(&src[off..off + seg_len]);
             }
-        }
-        self.stats.cycles += cost;
-        let mvl = self.mvl;
-        let regs = &mut self.vregs[vd.0 as usize * mvl..vd.0 as usize * mvl + vl];
-        for s in 0..nsegs {
-            let off = s * seg_stride;
-            regs[s * seg_len..(s + 1) * seg_len].copy_from_slice(&src[off..off + seg_len]);
         }
         self.lint_write(vd);
         self.lint_tick();
     }
 
-    /// Segmented store: inverse of [`Machine::vload_seg`] (`seg_stride > 0`).
+    /// Segmented store: inverse of [`Machine::vload_seg`] (`seg_stride > 0`),
+    /// i.e. [`Machine::vstore_seg_partial`] storing whole blocks.
     pub fn vstore_seg(
         &mut self,
         vs: VReg,
@@ -526,35 +598,8 @@ impl Machine {
         seg_stride: usize,
         nsegs: usize,
     ) {
-        let vl = self.vl;
-        assert_eq!(vl, nsegs * seg_len, "vstore_seg: vl != nsegs * seg_len");
         assert!(seg_stride > 0, "vstore_seg with zero stride would overwrite");
-        assert!((nsegs - 1) * seg_stride + seg_len <= dst.len(), "vstore_seg out of bounds");
-        self.lint_read(vs, "vstore_seg");
-        self.mem_instr_base();
-        self.gather_extra();
-        let base_addr = dst.as_ptr() as usize;
-        let mut cost = 0u64;
-        let mut last_line = u64::MAX;
-        for s in 0..nsegs {
-            let a0 = base_addr + s * seg_stride * 4;
-            let first = (a0 / 64) as u64;
-            let last = ((a0 + seg_len * 4 - 1) / 64) as u64;
-            for line in first..=last {
-                if line != last_line {
-                    cost += self.line_cost(line, false);
-                    last_line = line;
-                }
-            }
-        }
-        self.stats.cycles += cost;
-        let base = vs.0 as usize * self.mvl;
-        for s in 0..nsegs {
-            let off = s * seg_stride;
-            dst[off..off + seg_len]
-                .copy_from_slice(&self.vregs[base + s * seg_len..base + (s + 1) * seg_len]);
-        }
-        self.lint_tick();
+        self.vstore_seg_partial(vs, dst, seg_len, seg_len, seg_stride, nsegs);
     }
 
     /// Masked segmented store: the register is viewed as `nsegs` blocks of
@@ -572,36 +617,19 @@ impl Machine {
         nsegs: usize,
     ) {
         let vl = self.vl;
-        assert_eq!(vl, nsegs * seg_block, "vstore_seg_partial: vl != nsegs * seg_block");
+        assert_eq!(vl, nsegs * seg_block, "segment store: vl != nsegs * seg_block");
         assert!(seg_valid <= seg_block && seg_valid > 0);
-        assert!(
-            (nsegs - 1) * seg_stride + seg_valid <= dst.len(),
-            "vstore_seg_partial out of bounds"
-        );
-        self.lint_read(vs, "vstore_seg_partial");
+        assert!((nsegs - 1) * seg_stride + seg_valid <= dst.len(), "segment store out of bounds");
+        self.lint_read(vs, "segment store");
         self.mem_instr_base();
         self.gather_extra();
-        let base_addr = dst.as_ptr() as usize;
-        let mut cost = 0u64;
-        let mut last_line = u64::MAX;
-        for s in 0..nsegs {
-            let a0 = base_addr + s * seg_stride * 4;
-            let first = (a0 / 64) as u64;
-            let last = ((a0 + seg_valid * 4 - 1) / 64) as u64;
-            for line in first..=last {
-                if line != last_line {
-                    cost += self.line_cost(line, false);
-                    last_line = line;
-                }
+        self.stats.cycles +=
+            self.touch_segs(dst.as_ptr() as usize, seg_valid * 4, seg_stride * 4, nsegs);
+        if self.compute {
+            for (s, block) in self.reg(vs).chunks_exact(seg_block).enumerate() {
+                let off = s * seg_stride;
+                dst[off..off + seg_valid].copy_from_slice(&block[..seg_valid]);
             }
-        }
-        self.stats.cycles += cost;
-        let base = vs.0 as usize * self.mvl;
-        for s in 0..nsegs {
-            let off = s * seg_stride;
-            dst[off..off + seg_valid].copy_from_slice(
-                &self.vregs[base + s * seg_block..base + s * seg_block + seg_valid],
-            );
         }
         self.lint_tick();
     }
@@ -617,23 +645,11 @@ impl Machine {
         assert!(npix == 0 || (npix - 1) * stride < src.len(), "vgather_repeat out of bounds");
         self.mem_instr_base();
         self.gather_extra();
-        let base_addr = src.as_ptr() as usize;
-        let mut cost = 0u64;
-        let mut last_line = u64::MAX;
-        for p in 0..npix {
-            let a = base_addr + p * stride * 4;
-            let line = (a / 64) as u64;
-            if line != last_line {
-                cost += self.line_cost(line, false);
-                last_line = line;
+        self.stats.cycles += self.touch_elems(src.as_ptr() as usize, stride * 4, npix);
+        if let Some(d) = self.reg_mut(vd) {
+            for (p, px) in d.chunks_exact_mut(repeat).enumerate() {
+                px.fill(src[p * stride]);
             }
-        }
-        self.stats.cycles += cost;
-        let mvl = self.mvl;
-        let regs = &mut self.vregs[vd.0 as usize * mvl..vd.0 as usize * mvl + vl];
-        for p in 0..npix {
-            let v = src[p * stride];
-            regs[p * repeat..(p + 1) * repeat].fill(v);
         }
         self.lint_write(vd);
         self.lint_tick();
@@ -645,7 +661,9 @@ impl Machine {
     #[inline]
     pub fn vfmv_v_f(&mut self, vd: VReg, x: f32) {
         self.arith_cost(1);
-        self.reg_mut(vd).fill(x);
+        if let Some(d) = self.reg_mut(vd) {
+            d.fill(x);
+        }
         self.lint_write(vd);
         self.lint_tick();
     }
@@ -656,8 +674,9 @@ impl Machine {
         self.lint_read(vs, "vmv");
         self.arith_cost(1);
         if vd != vs {
-            let (d, a, _) = self.reg_dss(vd, vs, vs);
-            d.copy_from_slice(a);
+            if let Some((d, a, _)) = self.reg_dss(vd, vs, vs) {
+                d.copy_from_slice(a);
+            }
         }
         self.lint_write(vd);
         self.lint_tick();
@@ -670,9 +689,10 @@ impl Machine {
         self.lint_read(vs, "vfmacc.vf");
         self.arith_cost(1);
         self.stats.flops += 2 * self.vl as u64;
-        let (d, a, _) = self.reg_dss(vd, vs, vs);
-        for (x, &y) in d.iter_mut().zip(a) {
-            *x += f * y;
+        if let Some((d, a, _)) = self.reg_dss(vd, vs, vs) {
+            for (x, &y) in d.iter_mut().zip(a) {
+                *x += f * y;
+            }
         }
         self.lint_write(vd);
         self.lint_tick();
@@ -686,9 +706,10 @@ impl Machine {
         self.lint_read(vb, "vfmacc.vv");
         self.arith_cost(1);
         self.stats.flops += 2 * self.vl as u64;
-        let (d, a, b) = self.reg_dss(vd, va, vb);
-        for ((x, &y), &z) in d.iter_mut().zip(a).zip(b) {
-            *x += y * z;
+        if let Some((d, a, b)) = self.reg_dss(vd, va, vb) {
+            for ((x, &y), &z) in d.iter_mut().zip(a).zip(b) {
+                *x += y * z;
+            }
         }
         self.lint_write(vd);
         self.lint_tick();
@@ -702,9 +723,10 @@ impl Machine {
         self.lint_read(vb, "vfnmsac.vv");
         self.arith_cost(1);
         self.stats.flops += 2 * self.vl as u64;
-        let (d, a, b) = self.reg_dss(vd, va, vb);
-        for ((x, &y), &z) in d.iter_mut().zip(a).zip(b) {
-            *x -= y * z;
+        if let Some((d, a, b)) = self.reg_dss(vd, va, vb) {
+            for ((x, &y), &z) in d.iter_mut().zip(a).zip(b) {
+                *x -= y * z;
+            }
         }
         self.lint_write(vd);
         self.lint_tick();
@@ -717,18 +739,14 @@ impl Machine {
         self.lint_read(vb, "vfadd.vv");
         self.arith_cost(1);
         self.stats.flops += self.vl as u64;
-        if vd == va {
-            let (d, b, _) = self.reg_dss(vd, vb, vb);
-            for (x, &z) in d.iter_mut().zip(b) {
-                *x += z;
+        if vd == va || vd == vb {
+            let other = if vd == va { vb } else { va };
+            if let Some((d, o, _)) = self.reg_dss(vd, other, other) {
+                for (x, &y) in d.iter_mut().zip(o) {
+                    *x += y;
+                }
             }
-        } else if vd == vb {
-            let (d, a, _) = self.reg_dss(vd, va, va);
-            for (x, &y) in d.iter_mut().zip(a) {
-                *x += y;
-            }
-        } else {
-            let (d, a, b) = self.reg_dss(vd, va, vb);
+        } else if let Some((d, a, b)) = self.reg_dss(vd, va, vb) {
             for ((x, &y), &z) in d.iter_mut().zip(a).zip(b) {
                 *x = y + z;
             }
@@ -744,9 +762,10 @@ impl Machine {
         self.lint_read(vb, "vfsub.vv");
         self.arith_cost(1);
         self.stats.flops += self.vl as u64;
-        let (d, a, b) = self.reg_dss(vd, va, vb);
-        for ((x, &y), &z) in d.iter_mut().zip(a).zip(b) {
-            *x = y - z;
+        if let Some((d, a, b)) = self.reg_dss(vd, va, vb) {
+            for ((x, &y), &z) in d.iter_mut().zip(a).zip(b) {
+                *x = y - z;
+            }
         }
         self.lint_write(vd);
         self.lint_tick();
@@ -759,9 +778,10 @@ impl Machine {
         self.lint_read(vb, "vfmul.vv");
         self.arith_cost(1);
         self.stats.flops += self.vl as u64;
-        let (d, a, b) = self.reg_dss(vd, va, vb);
-        for ((x, &y), &z) in d.iter_mut().zip(a).zip(b) {
-            *x = y * z;
+        if let Some((d, a, b)) = self.reg_dss(vd, va, vb) {
+            for ((x, &y), &z) in d.iter_mut().zip(a).zip(b) {
+                *x = y * z;
+            }
         }
         self.lint_write(vd);
         self.lint_tick();
@@ -774,11 +794,10 @@ impl Machine {
         self.arith_cost(1);
         self.stats.flops += self.vl as u64;
         if vd == vs {
-            for x in self.reg_mut(vd) {
+            for x in self.reg_mut(vd).into_iter().flatten() {
                 *x *= f;
             }
-        } else {
-            let (d, a, _) = self.reg_dss(vd, vs, vs);
+        } else if let Some((d, a, _)) = self.reg_dss(vd, vs, vs) {
             for (x, &y) in d.iter_mut().zip(a) {
                 *x = f * y;
             }
@@ -794,11 +813,10 @@ impl Machine {
         self.arith_cost(1);
         self.stats.flops += self.vl as u64;
         if vd == vs {
-            for x in self.reg_mut(vd) {
+            for x in self.reg_mut(vd).into_iter().flatten() {
                 *x += f;
             }
-        } else {
-            let (d, a, _) = self.reg_dss(vd, vs, vs);
+        } else if let Some((d, a, _)) = self.reg_dss(vd, vs, vs) {
             for (x, &y) in d.iter_mut().zip(a) {
                 *x = f + y;
             }
@@ -815,12 +833,12 @@ impl Machine {
         self.arith_cost(1);
         self.stats.flops += self.vl as u64;
         if vd == va {
-            let (d, b, _) = self.reg_dss(vd, vb, vb);
-            for (x, &z) in d.iter_mut().zip(b) {
-                *x = x.max(z);
+            if let Some((d, b, _)) = self.reg_dss(vd, vb, vb) {
+                for (x, &z) in d.iter_mut().zip(b) {
+                    *x = x.max(z);
+                }
             }
-        } else {
-            let (d, a, b) = self.reg_dss(vd, va, vb);
+        } else if let Some((d, a, b)) = self.reg_dss(vd, va, vb) {
             for ((x, &y), &z) in d.iter_mut().zip(a).zip(b) {
                 *x = y.max(z);
             }
@@ -836,7 +854,7 @@ impl Machine {
         self.lint_read(vd, "vleaky");
         self.arith_cost(2);
         self.stats.flops += self.vl as u64;
-        for x in self.reg_mut(vd) {
+        for x in self.reg_mut(vd).into_iter().flatten() {
             if *x < 0.0 {
                 *x *= alpha;
             }
@@ -850,14 +868,16 @@ impl Machine {
     pub fn vredsum(&mut self, vs: VReg) -> f32 {
         self.lint_read(vs, "vfredsum");
         let c = &self.cfg.cost;
-        let beats = (self.vl as u64).div_ceil(self.epc);
-        let tree = (self.epc as f64).log2().ceil() as u64;
-        self.stats.cycles += c.issue + c.arith_startup + beats + tree;
+        self.stats.cycles += c.issue + c.arith_startup + self.beats + self.redsum_tree;
         self.stats.vector_instrs += 1;
         self.stats.vector_elems += self.vl as u64;
         self.stats.flops += self.vl as u64;
         self.lint_tick();
-        self.reg(vs).iter().sum()
+        if self.compute {
+            self.reg(vs).iter().sum()
+        } else {
+            0.0
+        }
     }
 
     /// Transpose each consecutive 8x8 block held across eight registers:
@@ -883,13 +903,23 @@ impl Machine {
             self.lint_read(r, "vtranspose");
         }
         let permutes = (3 * n) as u64;
-        let c = &self.cfg.cost;
-        let beats = (vl as u64).div_ceil(self.epc);
-        self.stats.cycles += permutes * (c.issue + beats);
+        self.stats.cycles += permutes * (self.cfg.cost.issue + self.beats);
         self.stats.vector_instrs += permutes;
         self.stats.vector_elems += permutes * vl as u64;
+        if self.compute {
+            self.transpose_blocks(regs);
+        }
+        for &r in regs {
+            self.lint_write(r);
+        }
+        self.lint_tick();
+    }
+
+    /// The data half of [`Machine::vtranspose_n`].
+    fn transpose_blocks(&mut self, regs: &[VReg]) {
+        let n = regs.len();
         let mvl = self.mvl;
-        let nblocks = vl / n;
+        let nblocks = self.vl / n;
         // Gather into scratch, transposed, then write back.
         for blk in 0..nblocks {
             for (r, reg) in regs.iter().enumerate() {
@@ -906,10 +936,6 @@ impl Machine {
                 self.vregs[base..base + n].copy_from_slice(&self.scratch[off..off + n]);
             }
         }
-        for &r in regs {
-            self.lint_write(r);
-        }
-        self.lint_tick();
     }
 
     // ------------------------------------------------------------ scalar
@@ -926,8 +952,7 @@ impl Machine {
     /// via L1, even on a decoupled-VPU machine — the scalar core owns L1).
     pub fn scalar_load(&mut self, src: &[f32], idx: usize) -> f32 {
         let c = self.cfg.cost;
-        let addr = src.as_ptr() as usize + idx * 4;
-        let line = (addr / 64) as u64;
+        let line = line_of(src.as_ptr() as usize + idx * 4);
         let cost = if self.l1.access_line(line) {
             c.l1_line
         } else if self.l2.access_line(line) {
@@ -949,8 +974,7 @@ impl Machine {
     /// GEMM kernels' A-element broadcasts.
     pub fn scalar_load_hidden(&mut self, src: &[f32], idx: usize) -> f32 {
         let c = self.cfg.cost;
-        let addr = src.as_ptr() as usize + idx * 4;
-        let line = (addr / 64) as u64;
+        let line = line_of(src.as_ptr() as usize + idx * 4);
         if !self.l1.access_line(line) {
             let cost = if self.l2.access_line(line) {
                 c.l2_line
@@ -965,11 +989,11 @@ impl Machine {
         src[idx]
     }
 
-    /// Scalar store: writes `dst[idx]` through the cache hierarchy.
+    /// Scalar store: writes `dst[idx]` through the cache hierarchy (a
+    /// timing-only machine checks the index and writes nothing).
     pub fn scalar_store(&mut self, dst: &mut [f32], idx: usize, v: f32) {
         let c = self.cfg.cost;
-        let addr = dst.as_ptr() as usize + idx * 4;
-        let line = (addr / 64) as u64;
+        let line = line_of(dst.as_ptr() as usize + idx * 4);
         let cost = if self.l1.access_line(line) {
             c.l1_line
         } else if self.l2.access_line(line) {
@@ -980,7 +1004,10 @@ impl Machine {
         };
         self.stats.cycles += c.scalar_op + cost;
         self.stats.scalar_ops += 1;
-        dst[idx] = v;
+        let slot = &mut dst[idx];
+        if self.compute {
+            *slot = v;
+        }
         self.lint_tick();
     }
 
@@ -1009,10 +1036,8 @@ impl Machine {
             return;
         }
         let base = src.as_ptr() as usize;
-        let first = ((base + start) / 64) as u64;
-        let last = ((base + end - 1) / 64) as u64;
         let mut cost = 0u64;
-        for line in first..=last {
+        for line in line_of(base + start)..=line_of(base + end - 1) {
             if !self.probe_resident(line) {
                 self.stats.prefetch_lines += 1;
                 cost += self.line_cost(line, true);
