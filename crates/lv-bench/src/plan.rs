@@ -9,18 +9,21 @@
 //! * [`SweepPlan`] — a declarative grid builder
 //!   (`SweepPlan::new("fig5").layers(Model::Vgg16).vlens(&P2_VLENS)…`)
 //!   that expands to typed [`Cell`]s in a deterministic order;
-//! * [`Executor`] — runs plans through rayon fan-out with a persistent
-//!   **content-addressed cell cache**: the key is a stable FNV-1a hash of
-//!   `MachineConfig` + `ConvShape` + `Algo` plus a kernel-version salt
-//!   ([`lv_conv::KERNEL_REV`] / [`lv_sim::TIMING_REV`]), stored as JSONL
-//!   under `results/cache/`. Overlapping artifacts reuse each other's
-//!   cells (fig3 and fig5 share the 512-bit/1-MiB VGG column), so
-//!   regenerating the full figure set performs each simulation exactly
-//!   once and a warm second run performs zero;
+//! * [`Executor`] — runs plans through rayon fan-out, one task per kernel
+//!   pass, with a persistent **content-addressed cell cache**: the key is
+//!   a stable FNV-1a hash of `MachineConfig` + `ConvShape` + `Algo` plus
+//!   a kernel-version salt ([`lv_conv::KERNEL_REV`] /
+//!   [`lv_sim::TIMING_REV`]), stored as JSONL under `results/cache/`.
+//!   Overlapping artifacts reuse each other's cells (fig3 and fig5 share
+//!   the 512-bit/1-MiB VGG column), so regenerating the full figure set
+//!   performs each simulation exactly once and a warm second run performs
+//!   zero. On the cycle tier, missing cells that differ only in their L2
+//!   share one pass, and each is still cached on its own;
 //! * deterministic ordered reduction into [`GridRow`]s — row order equals
 //!   plan expansion order regardless of worker count — plus `lv-trace`
 //!   span and cells-total/hit/simulated counter instrumentation.
 
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::io::Write as _;
 use std::path::PathBuf;
@@ -29,7 +32,7 @@ use std::sync::Mutex;
 
 use lv_conv::{Algo, ALL_ALGOS};
 use lv_models::{BackendKind, CellMetrics};
-use lv_sim::{fnv1a, MachineConfig, TrackId, VpuStyle, MIB};
+use lv_sim::{fnv1a, MachineConfig, TrackId, MIB};
 use lv_tensor::ConvShape;
 use rayon::prelude::*;
 
@@ -428,14 +431,17 @@ pub struct ExecReport {
     pub simulated: usize,
     /// Expanded cells whose algorithm does not apply to the layer.
     pub skipped: usize,
+    /// Kernel passes that simulated them: one per L2 group on the cycle
+    /// tier, one per cell on the fast tier.
+    pub passes: usize,
 }
 
 impl ExecReport {
     /// The one-line counter summary (`grep simulated=0` in CI).
     pub fn line(&self, id: &str) -> String {
         format!(
-            "[plan {id}] cells: total={} unique={} hit={} simulated={} skipped={}",
-            self.total, self.unique, self.hit, self.simulated, self.skipped
+            "[plan {id}] cells: total={} unique={} hit={} simulated={} skipped={} passes={}",
+            self.total, self.unique, self.hit, self.simulated, self.skipped, self.passes
         )
     }
 }
@@ -480,58 +486,28 @@ impl Executor {
         let cache_path = dir.join("cells.jsonl");
         let salt = opts.salt.clone().unwrap_or_else(default_salt);
         let mut state = CellCacheState { map: HashMap::new(), corrupt: 0 };
-        if !opts.no_cache {
-            match std::fs::read_to_string(&cache_path) {
-                Ok(text) => {
-                    for line in text.lines() {
-                        if line.trim().is_empty() {
-                            continue;
-                        }
-                        match parse_cache_line(line) {
-                            // Later lines win: `--force` reruns append
-                            // fresh values for existing keys.
-                            Some((k, m)) => {
-                                state.map.insert(k, m);
-                            }
-                            None => state.corrupt += 1,
-                        }
-                    }
-                    if state.corrupt > 0 && opts.verbose {
-                        eprintln!(
-                            "[cache] skipped {} corrupt line(s) in {} (will resimulate)",
-                            state.corrupt,
-                            cache_path.display()
-                        );
-                    }
+        // An absent cache is cold; `--no-cache` never reads it.
+        let text = if opts.no_cache { None } else { std::fs::read_to_string(&cache_path).ok() };
+        if let Some(text) = text {
+            for line in text.lines() {
+                if line.trim().is_empty() {
+                    continue;
                 }
-                Err(_) => {
-                    // First run against this results dir: seed the cell
-                    // cache from any legacy whole-grid CSVs so existing
-                    // checkouts stay warm, and persist the import so it
-                    // happens once.
-                    let imported = import_legacy_grids(&dir, &salt, &mut state.map);
-                    if imported > 0 {
-                        if opts.verbose {
-                            eprintln!("[cache] imported {imported} cells from legacy grid CSVs");
-                        }
-                        let mut buf = String::new();
-                        let mut entries: Vec<_> = state.map.iter().collect();
-                        entries.sort_by_key(|(k, _)| **k);
-                        for (k, m) in entries {
-                            buf.push_str(&cache_line(*k, m));
-                            buf.push('\n');
-                        }
-                        if std::fs::create_dir_all(&dir)
-                            .and_then(|()| std::fs::write(&cache_path, buf))
-                            .is_err()
-                        {
-                            eprintln!(
-                                "[cache] warning: could not persist import to {}",
-                                cache_path.display()
-                            );
-                        }
+                match parse_cache_line(line) {
+                    // Later lines win: `--force` reruns append fresh
+                    // values for existing keys.
+                    Some((k, m)) => {
+                        state.map.insert(k, m);
                     }
+                    None => state.corrupt += 1,
                 }
+            }
+            if state.corrupt > 0 && opts.verbose {
+                eprintln!(
+                    "[cache] skipped {} corrupt line(s) in {} (will resimulate)",
+                    state.corrupt,
+                    cache_path.display()
+                );
             }
         }
         Self {
@@ -616,15 +592,19 @@ impl Executor {
         }
         report.unique = unique.len();
         report.simulated = missing.len();
+        let passes = kernel_passes(&missing, backend);
+        report.passes = passes.len();
 
-        // Fan out the misses; the rayon shim work-steals from an indexed
-        // worklist and re-sorts, so `fresh` is in `missing` order.
+        // Fan out one task per pass; the rayon shim work-steals from an
+        // indexed worklist and re-sorts, and the cells are put back in
+        // `missing` order, so `fresh` is in `missing` order.
         if !missing.is_empty() {
             if self.opts.verbose {
                 eprintln!(
-                    "[plan {}] simulating {} unique cells ({} tier) ...",
+                    "[plan {}] simulating {} unique cells in {} passes ({} tier) ...",
                     plan.id(),
                     missing.len(),
+                    passes.len(),
                     backend.name()
                 );
             }
@@ -633,17 +613,24 @@ impl Executor {
             let verbose = self.opts.verbose;
             let id = plan.id().to_string();
             let sim = backend.backend();
-            let fresh: Vec<(u64, CellMetrics)> = missing
+            let priced: Vec<Vec<(usize, CellMetrics)>> = passes
                 .into_par_iter()
-                .filter_map(|(k, c)| {
-                    let m = sim.measure(&c.cfg, &c.shape, c.algo)?;
-                    let n = done.fetch_add(1, Ordering::Relaxed) + 1;
-                    if verbose && n % 32 == 0 {
+                .map(|members| {
+                    let c = &missing[members[0]].1;
+                    let cfgs: Vec<MachineConfig> =
+                        members.iter().map(|&i| missing[i].1.cfg).collect();
+                    let ms = sim.measure_group(&cfgs, &c.shape, c.algo).unwrap_or_default();
+                    let n = done.fetch_add(ms.len(), Ordering::Relaxed) + ms.len();
+                    if verbose && n / 32 > (n - ms.len()) / 32 {
                         eprintln!("[plan {id}] {n}/{total} cells simulated");
                     }
-                    Some((k, m))
+                    members.into_iter().zip(ms).collect()
                 })
                 .collect();
+            let mut priced: Vec<(usize, CellMetrics)> = priced.into_iter().flatten().collect();
+            priced.sort_unstable_by_key(|&(i, _)| i);
+            let fresh: Vec<(u64, CellMetrics)> =
+                priced.into_iter().map(|(i, m)| (missing[i].0, m)).collect();
             if self.opts.force {
                 self.refreshed.lock().unwrap().extend(fresh.iter().map(|(k, _)| *k));
             }
@@ -693,6 +680,7 @@ impl Executor {
                 ("hit".to_string(), report.hit.into()),
                 ("simulated".to_string(), report.simulated.into()),
                 ("skipped".to_string(), report.skipped.into()),
+                ("passes".to_string(), report.passes.into()),
             ],
         );
         Ok(SweepOutcome { rows, report })
@@ -726,6 +714,35 @@ impl Executor {
     }
 }
 
+/// Split `missing` into kernel passes, as indices in `missing` order. On
+/// the cycle tier, cells that differ only in their L2 share one pass (one
+/// [`lv_sim::Machine::new_group`]) unless they prefetch, which makes L2
+/// residency steer the L1. The fast tier prices a cell in O(1), so each
+/// cell is its own pass there.
+fn kernel_passes(missing: &[(u64, Cell)], backend: BackendKind) -> Vec<Vec<usize>> {
+    if backend != BackendKind::Cycle {
+        return (0..missing.len()).map(|i| vec![i]).collect();
+    }
+    let mut passes: Vec<Vec<usize>> = Vec::new();
+    let mut by_key: HashMap<String, usize> = HashMap::new();
+    for (i, (_, c)) in missing.iter().enumerate() {
+        if c.cfg.sw_prefetch {
+            passes.push(vec![i]);
+            continue;
+        }
+        let sans_l2 = MachineConfig { l2: MachineConfig::default().l2, ..c.cfg };
+        let key = format!("{}|{:?}|{}", sans_l2.stable_key(), c.shape, c.algo.name());
+        match by_key.entry(key) {
+            Entry::Occupied(e) => passes[*e.get()].push(i),
+            Entry::Vacant(e) => {
+                e.insert(passes.len());
+                passes.push(vec![i]);
+            }
+        }
+    }
+    passes
+}
+
 // ------------------------------------------------------- cache encoding
 
 /// One JSONL cache line for `key` / `metrics`. Floats use Rust's
@@ -750,53 +767,6 @@ fn parse_cache_line(line: &str) -> Option<(u64, CellMetrics)> {
         return None;
     }
     Some((key, CellMetrics { cycles: cycles_f as u64, avg_vl, l2_miss_rate: l2_miss }))
-}
-
-/// Seed `map` from pre-cell-cache whole-grid CSVs (`grid_s*.csv`,
-/// `p1grid_s*.csv`) next to the cache dir, reconstructing each row's
-/// design point. Values came from the same kernels, so they get the
-/// current salt. Returns the number of cells imported.
-fn import_legacy_grids(
-    cache_dir: &std::path::Path,
-    salt: &str,
-    map: &mut HashMap<u64, CellMetrics>,
-) -> usize {
-    let Some(results) = cache_dir.parent() else { return 0 };
-    let Ok(entries) = std::fs::read_dir(results) else { return 0 };
-    let mut names: Vec<PathBuf> = entries
-        .filter_map(|e| e.ok())
-        .map(|e| e.path())
-        .filter(|p| {
-            p.file_name().and_then(|n| n.to_str()).is_some_and(|n| {
-                (n.starts_with("grid_s") || n.starts_with("p1grid_s")) && n.ends_with(".csv")
-            })
-        })
-        .collect();
-    names.sort();
-    let mut imported = 0usize;
-    for path in names {
-        let Ok(text) = std::fs::read_to_string(&path) else { continue };
-        let Ok(rows) = crate::grid::from_csv(&text) else { continue };
-        for r in rows {
-            let mut b = MachineConfig::builder().vlen_bits(r.vlen_bits).l2_mib(r.l2_mib);
-            if r.vpu == VpuStyle::Decoupled {
-                b = b.decoupled();
-            }
-            let Ok(cfg) = b.lanes(r.lanes).build() else { continue };
-            let cell = Cell { model: r.model, layer: r.layer, shape: r.shape, cfg, algo: r.algo };
-            // First value wins: duplicate-shape layers measured separately
-            // in the legacy grid collapse onto one cell here.
-            if let std::collections::hash_map::Entry::Vacant(e) = map.entry(cell.key(salt)) {
-                e.insert(CellMetrics {
-                    cycles: r.cycles,
-                    avg_vl: r.avg_vl,
-                    l2_miss_rate: r.l2_miss_rate,
-                });
-                imported += 1;
-            }
-        }
-    }
-    imported
 }
 
 #[cfg(test)]
@@ -896,6 +866,48 @@ mod tests {
         assert_eq!(cells.len(), 2);
         assert_eq!(cells[0].algo, Algo::Winograd);
         assert_eq!(cells[1].algo, Algo::Gemm6);
+    }
+
+    /// The cold cycle-tier sweep at the benchmark's scale: plans run in
+    /// order through one cache, so p1-wino only misses its 256 MiB cells
+    /// (the grid plan already holds their 1/16/64 MiB partners).
+    #[test]
+    fn sweep_plans_share_one_pass_per_l2_group() {
+        let mut plans = vec![paper2_plan(0.12)];
+        plans.extend(p1_plans(0.12));
+        let mut cached = HashSet::new();
+        let mut got = Vec::new();
+        for plan in &plans {
+            let missing: Vec<(u64, Cell)> = plan
+                .expand()
+                .into_iter()
+                .filter(|c| c.applicable())
+                .filter_map(|c| {
+                    let k = c.key("s");
+                    cached.insert(k).then_some((k, c))
+                })
+                .collect();
+            let passes = kernel_passes(&missing, BackendKind::Cycle);
+            // Members of a pass differ only in the L2, in `missing` order.
+            for p in &passes {
+                let first = &missing[p[0]].1;
+                assert!(p.windows(2).all(|w| w[0] < w[1]));
+                for &i in p {
+                    let c = &missing[i].1;
+                    assert_eq!((c.shape, c.algo), (first.shape, first.algo));
+                    assert_eq!(MachineConfig { l2: first.cfg.l2, ..c.cfg }, first.cfg);
+                }
+            }
+            let mut members: Vec<usize> = passes.concat();
+            members.sort_unstable();
+            assert_eq!(members, (0..missing.len()).collect::<Vec<_>>(), "{}", plan.id());
+            assert_eq!(kernel_passes(&missing, BackendKind::Fast).len(), missing.len());
+            got.push((plan.id().to_string(), missing.len(), passes.len()));
+        }
+        let want =
+            [("grid", 1056, 264), ("p1-dec", 240, 60), ("p1-lanes", 60, 60), ("p1-wino", 54, 54)];
+        let want: Vec<_> = want.iter().map(|&(id, c, p)| (id.to_string(), c, p)).collect();
+        assert_eq!(got, want);
     }
 
     #[test]

@@ -1,15 +1,16 @@
 //! Integration tests for the sweep executor and its persistent
 //! content-addressed cell cache: hit/miss accounting, salt invalidation,
-//! bit-identical warm reruns, worker-count determinism, and recovery from
-//! corrupted cache lines.
+//! bit-identical warm reruns, worker-count determinism, recovery from
+//! corrupted cache lines, and one kernel pass per L2 group.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use lv_bench::grid::{to_csv, GridRow};
+use lv_bench::grid::{to_csv, GridRow, P2_L2S};
 use lv_bench::plan::{ExecOptions, Executor, SweepPlan};
 use lv_bench::trace::TraceCtx;
 use lv_conv::Algo;
+use lv_models::BackendKind;
 use lv_tensor::ConvShape;
 
 fn temp_cache_dir(tag: &str) -> PathBuf {
@@ -203,4 +204,62 @@ fn force_resimulates_each_unique_cell_once_per_process() {
     let (_, second) = run(&forced, &plan);
     assert_eq!(second.simulated, 0);
     assert_eq!(second.hit, second.unique);
+}
+
+/// [`tiny_plan`] over the four Paper II L2 sizes: every cell has three
+/// partners that differ only in the L2.
+fn l2_plan() -> SweepPlan {
+    tiny_plan().l2s(&P2_L2S)
+}
+
+/// The content addresses in a cache file, in file order.
+fn cached_keys(dir: &std::path::Path) -> Vec<String> {
+    let text = std::fs::read_to_string(dir.join("cells.jsonl")).unwrap();
+    text.lines().map(|l| l[6..22].to_string()).collect()
+}
+
+#[test]
+fn cycle_tier_runs_one_pass_per_l2_group() {
+    let dir = temp_cache_dir("groups");
+    let plan = l2_plan();
+    let exec = Executor::new(opts(&dir));
+    let (rows, cold) = run(&exec, &plan);
+    // 8 unique cells per L2 size (see the hit test), one pass for all four.
+    assert_eq!(cold.simulated, 4 * 8);
+    assert_eq!(cold.passes, 8);
+    assert_eq!(rows.len(), 4 * 12);
+    assert!(cold.line("l2").ends_with("simulated=32 skipped=0 passes=8"), "{}", cold.line("l2"));
+
+    // Each cell is still cached on its own, in the expansion order of the
+    // missing cells.
+    let mut want = Vec::new();
+    for c in plan.expand() {
+        let k = format!("{:016x}", c.key(exec.salt()));
+        if !want.contains(&k) {
+            want.push(k);
+        }
+    }
+    assert_eq!(cached_keys(&dir), want);
+
+    let (rows2, warm) = run(&Executor::new(opts(&dir)), &plan);
+    assert_eq!((warm.simulated, warm.passes, warm.hit), (0, 0, 32));
+    assert_eq!(to_csv(&rows), to_csv(&rows2));
+}
+
+#[test]
+fn l2_groups_only_cover_the_missing_cells() {
+    let dir = temp_cache_dir("partial");
+    // Warm the 1 MiB column first: the groups then hold three members.
+    run(&Executor::new(opts(&dir)), &tiny_plan());
+    let (_, rep) = run(&Executor::new(opts(&dir)), &l2_plan());
+    assert_eq!((rep.hit, rep.simulated, rep.passes), (8, 24, 8));
+}
+
+#[test]
+fn fast_tier_runs_one_pass_per_cell() {
+    let dir = temp_cache_dir("fast");
+    let exec = Executor::new(ExecOptions { backend: Some(BackendKind::Fast), ..opts(&dir) });
+    let (_, rep) = run(&exec, &l2_plan());
+    assert_eq!(rep.simulated, 32);
+    assert_eq!(rep.passes, rep.simulated);
 }

@@ -2,7 +2,8 @@
 //! implementations.
 //!
 //! * [`CycleBackend`] — the existing cycle-accurate [`lv_sim::Machine`],
-//!   via [`measure_cell`]. Ground truth; O(MACs) per cell.
+//!   via [`measure_group`]. Ground truth; O(MACs) per kernel pass, and
+//!   one pass prices every L2 size of a group.
 //! * [`FastBackend`] — the analytical tier: `lv_conv::model` builds an
 //!   event-count [`lv_sim::fastmodel::Workload`] mirroring the kernel's
 //!   loop structure, `lv_sim::fastmodel::evaluate` prices it, and the
@@ -20,7 +21,7 @@ use lv_sim::MachineConfig;
 use lv_tensor::ConvShape;
 
 use crate::calib;
-use crate::measure::{measure_cell, CellMetrics};
+use crate::measure::{measure_cell, measure_group, CellMetrics};
 
 /// A simulation tier: anything that can price one (machine, layer,
 /// algorithm) cell. `None` exactly when the algorithm does not apply to
@@ -30,6 +31,18 @@ pub trait SimBackend: Sync {
     fn name(&self) -> &'static str;
     /// Price one cell; `None` when `algo` is inapplicable to `s`.
     fn measure(&self, cfg: &MachineConfig, s: &ConvShape, algo: Algo) -> Option<CellMetrics>;
+
+    /// Price the cells of design points that differ only in their L2, in
+    /// `cfgs` order. The default prices them cell by cell; a tier that
+    /// can share work across the group overrides it.
+    fn measure_group(
+        &self,
+        cfgs: &[MachineConfig],
+        s: &ConvShape,
+        algo: Algo,
+    ) -> Option<Vec<CellMetrics>> {
+        cfgs.iter().map(|cfg| self.measure(cfg, s, algo)).collect()
+    }
 }
 
 /// The cycle-accurate tier: executes the real kernel on the simulated
@@ -44,6 +57,16 @@ impl SimBackend for CycleBackend {
 
     fn measure(&self, cfg: &MachineConfig, s: &ConvShape, algo: Algo) -> Option<CellMetrics> {
         measure_cell(cfg, s, algo)
+    }
+
+    /// One kernel pass for the whole group (see [`measure_group`]).
+    fn measure_group(
+        &self,
+        cfgs: &[MachineConfig],
+        s: &ConvShape,
+        algo: Algo,
+    ) -> Option<Vec<CellMetrics>> {
+        Some(measure_group(cfgs, s, algo)?.iter().map(CellMetrics::from).collect())
     }
 }
 

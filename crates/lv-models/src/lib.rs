@@ -30,7 +30,8 @@ pub mod zoo;
 
 pub use backend::{BackendKind, CycleBackend, FastBackend, SimBackend};
 pub use measure::{
-    best_algo, measure_all_algos, measure_cell, measure_layer, CellMetrics, LayerMeasurement,
+    best_algo, measure_all_algos, measure_cell, measure_group, measure_layer, CellMetrics,
+    LayerMeasurement,
 };
 pub use model::{Activation, Layer, LayerKind, Model, ModelBuilder};
 pub use runner::{

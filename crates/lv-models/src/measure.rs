@@ -35,25 +35,34 @@ impl LayerMeasurement {
     }
 }
 
-/// Measure one layer with one algorithm on one hardware design point.
-/// Returns `None` when the algorithm does not apply to the layer (the
-/// per-layer comparison figures leave those bars out).
+/// Measure one layer with one algorithm on a group of hardware design
+/// points that differ only in their L2, in one kernel pass: the
+/// measurements come back in `cfgs` order. Returns `None` when the
+/// algorithm does not apply to the layer (the per-layer comparison figures
+/// leave those bars out). Panics on a group [`Machine::new_group`]
+/// rejects.
 ///
 /// The outputs are discarded, so the layer runs on a
 /// [timing-only](Machine::timing_only) machine over zeroed buffers of the
 /// algorithm's layout lengths: dense-CNN cycle counts do not depend on the
-/// data, and no data is generated, converted or computed.
-pub fn measure_layer(cfg: &MachineConfig, s: &ConvShape, algo: Algo) -> Option<LayerMeasurement> {
+/// data, and no data is generated, converted or computed. Each member's
+/// L2 sees exactly the access stream a lone run over the same buffers
+/// would; cycles and cache counters still follow the buffers' host
+/// addresses, like any other run.
+pub fn measure_group(
+    cfgs: &[MachineConfig],
+    s: &ConvShape,
+    algo: Algo,
+) -> Option<Vec<LayerMeasurement>> {
     if !algo.applicable(s) {
         return None;
     }
     let input = AlignedVec::zeroed(s.input_len());
     let prepared = PreparedWeights::zeroed(algo, s);
     let mut out = vec![0.0f32; s.output_len()];
-    let mut m = Machine::new(*cfg).timing_only();
+    let mut m = Machine::new_group(cfgs).timing_only();
     run_conv(&mut m, algo, s, &input, &prepared, &mut out);
-    let stats = m.stats();
-    Some(LayerMeasurement {
+    let measured = cfgs.iter().zip(m.group_stats()).map(|(cfg, stats)| LayerMeasurement {
         shape: *s,
         vlen_bits: cfg.vlen_bits,
         l2_mib: cfg.l2.size_bytes / lv_sim::MIB,
@@ -62,7 +71,14 @@ pub fn measure_layer(cfg: &MachineConfig, s: &ConvShape, algo: Algo) -> Option<L
         avg_vl: stats.avg_vl(),
         l2_miss_rate: stats.l2_miss_rate(),
         stats,
-    })
+    });
+    Some(measured.collect())
+}
+
+/// Measure one layer with one algorithm on one hardware design point:
+/// [`measure_group`] of one config.
+pub fn measure_layer(cfg: &MachineConfig, s: &ConvShape, algo: Algo) -> Option<LayerMeasurement> {
+    measure_group(std::slice::from_ref(cfg), s, algo).and_then(|ms| ms.into_iter().next())
 }
 
 /// The metrics a sweep cell persists: exactly the values `lv-bench`'s

@@ -198,7 +198,14 @@ impl MachineConfig {
             if g.size_bytes == 0 || g.ways == 0 || g.line_bytes == 0 {
                 return Err(ConfigError::ZeroCache { level });
             }
-            if g.sets() == 0 || !g.line_bytes.is_power_of_two() {
+            // `Cache` indexes sets by masking line numbers, so the size must
+            // be a whole number of `ways x line` rows and the row count a
+            // power of two.
+            let row = g.ways * g.line_bytes;
+            if !g.line_bytes.is_power_of_two()
+                || g.size_bytes % row != 0
+                || !g.sets().is_power_of_two()
+            {
                 return Err(ConfigError::BadGeometry { level, geometry: *g });
             }
         }
@@ -284,8 +291,9 @@ pub enum ConfigError {
         /// Which level ("L1" / "L2").
         level: &'static str,
     },
-    /// Size/ways/line do not describe a real set-associative array
-    /// (zero sets, or a non-power-of-two line that breaks line indexing).
+    /// Size/ways/line do not describe a set-associative array the cache
+    /// model can index: the line or the set count is not a power of two,
+    /// or the size is not a whole number of sets.
     BadGeometry {
         /// Which level ("L1" / "L2").
         level: &'static str,
@@ -297,6 +305,16 @@ pub enum ConfigError {
         /// The offending clock.
         freq_ghz: f64,
     },
+    /// A machine group needs at least one config.
+    EmptyGroup,
+    /// A group member differs from the first config outside the L2.
+    GroupMismatch {
+        /// Index of the offending config in the group.
+        member: usize,
+    },
+    /// Software prefetch asks the L2 whether a line is resident, so a
+    /// prefetching config cannot share a pass with other L2s.
+    GroupPrefetch,
 }
 
 impl fmt::Display for ConfigError {
@@ -318,6 +336,13 @@ impl fmt::Display for ConfigError {
             ),
             ConfigError::BadClock { freq_ghz } => {
                 write!(f, "freq_ghz = {freq_ghz}: must be finite and positive")
+            }
+            ConfigError::EmptyGroup => write!(f, "a machine group needs at least one config"),
+            ConfigError::GroupMismatch { member } => {
+                write!(f, "group member {member} differs from the first config outside the L2")
+            }
+            ConfigError::GroupPrefetch => {
+                write!(f, "software prefetch reads L2 residency, so it cannot be grouped")
             }
         }
     }
@@ -472,6 +497,39 @@ mod tests {
         // Errors render a readable reason.
         let msg = ConfigError::BadLanes { lanes: 32, max: 16 }.to_string();
         assert!(msg.contains("32") && msg.contains("16"), "{msg}");
+    }
+
+    /// Regression: `validate` used to accept geometries that `Cache::new`
+    /// rejects or silently truncates.
+    #[test]
+    fn builder_rejects_geometries_the_cache_cannot_index() {
+        // 3 MiB / (8 x 64 B) = 6144 sets: not a power of two.
+        assert!(matches!(
+            MachineConfig::builder().l2_mib(3).build(),
+            Err(ConfigError::BadGeometry { level: "L2", .. })
+        ));
+        // 100 KiB, 4-way: 400 sets.
+        let l1 = CacheGeometry { size_bytes: 100 * KIB, ways: 4, line_bytes: 64 };
+        assert!(matches!(
+            MachineConfig::builder().l1(l1).build(),
+            Err(ConfigError::BadGeometry { level: "L1", .. })
+        ));
+        // A size that is not a multiple of ways x line.
+        let ragged = CacheGeometry { size_bytes: 64 * KIB + 64, ways: 4, line_bytes: 64 };
+        assert!(matches!(
+            MachineConfig::builder().l1(ragged).build(),
+            Err(ConfigError::BadGeometry { level: "L1", .. })
+        ));
+        // So construction reports the error instead of panicking.
+        let mut cfg = MachineConfig::default();
+        cfg.l2.size_bytes = 3 * MIB;
+        assert!(matches!(
+            crate::Machine::try_new(cfg),
+            Err(ConfigError::BadGeometry { level: "L2", .. })
+        ));
+        // Power-of-two set counts with non-power-of-two ways stay valid.
+        let six = CacheGeometry { size_bytes: 6 * 64 * 256, ways: 6, line_bytes: 64 };
+        assert!(MachineConfig::builder().l2(six).build().is_ok());
     }
 
     #[test]

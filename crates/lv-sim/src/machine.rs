@@ -18,8 +18,20 @@
 //! dense-CNN cycle counts are data-independent; the parity tests check it
 //! op by op (`tests/timing_only.rs`) and kernel by kernel (`lv-models`).
 //! Callers that discard outputs (the sweep cells behind
-//! `lv_models::measure_layer`) run timing-only; everything that reads
+//! `lv_models::measure_group`) run timing-only; everything that reads
 //! outputs (conformance checks, network runs, kernel tests) computes.
+//!
+//! One machine can also simulate a [group](Machine::new_group) of design
+//! points that differ only in their L2. No kernel reads the L2 geometry
+//! and the L1 never depends on it, so the instruction stream, the
+//! registers, the L1 and the L2 *access* stream are the same for every
+//! member and run once. Each extra L2 is a shadow with its own tags,
+//! demand `mem_lines`, L2 counters and a signed cycle difference from
+//! the first member. Per memory operation a shadow books exactly what a
+//! lone machine with its L2 would charge: `max(cost, beats)` for
+//! `vle32`/`vse32` and the plain line sum for every other access. Software
+//! prefetch asks the L2 whether a line is resident, so prefetching
+//! configs only form groups of one. [`Machine::new`] is the group of one.
 //!
 //! Host slice addresses double as simulated physical addresses, so cache
 //! behaviour reflects the kernels' true access patterns and footprints.
@@ -27,7 +39,7 @@
 use lv_trace::{keys, SpanId, Tracer, TrackId};
 
 use crate::cache::Cache;
-use crate::config::{CostModel, MachineConfig, VpuStyle};
+use crate::config::{ConfigError, CostModel, MachineConfig, VpuStyle};
 use crate::lint::LintState;
 use crate::stats::Stats;
 
@@ -50,6 +62,18 @@ fn line_of(addr: usize) -> u64 {
     addr as u64 / LINE_BYTES
 }
 
+/// An extra L2 of a [group](Machine::new_group): it sees every L2 access
+/// of the first member and books what its own hits and misses would cost.
+struct Shadow {
+    l2: Cache,
+    /// Demand lines this L2 fetched from main memory.
+    mem_lines: u64,
+    /// Cycles this member has been charged minus the first member's.
+    cycle_diff: i64,
+    /// `cycle_diff` at the start of the current unit-stride access.
+    mark: i64,
+}
+
 /// The simulated machine: vector register file, cache hierarchy, cycle model.
 pub struct Machine {
     cfg: MachineConfig,
@@ -59,6 +83,8 @@ pub struct Machine {
     scratch: Box<[f32]>,
     l1: Cache,
     l2: Cache,
+    /// The L2s of the group's other members (empty for a lone machine).
+    shadows: Vec<Shadow>,
     stats: Stats,
     /// f32 elements retired per cycle by the arithmetic pipes.
     epc: u64,
@@ -94,15 +120,46 @@ impl Machine {
     /// Build a machine for a hardware design point, panicking on an
     /// invalid one (see [`Machine::try_new`] for the fallible form).
     pub fn new(cfg: MachineConfig) -> Self {
-        Self::try_new(cfg).unwrap_or_else(|e| panic!("invalid machine config: {e}"))
+        Self::new_group(&[cfg])
     }
 
     /// Build a machine, rejecting design points that fail
     /// [`MachineConfig::validate`] — the same shapes the opt-in invariant
     /// lint would trip over mid-run (zero-set caches, lanes that can never
     /// retire, non-power-of-two vector lengths).
-    pub fn try_new(cfg: MachineConfig) -> Result<Self, crate::ConfigError> {
+    pub fn try_new(cfg: MachineConfig) -> Result<Self, ConfigError> {
+        Self::try_new_group(&[cfg])
+    }
+
+    /// Build one machine for a group of design points that differ only in
+    /// their L2 (see the module docs), panicking on an invalid group;
+    /// [`Machine::try_new_group`] is the fallible form. The first config
+    /// is the primary: [`Machine::stats`], [`Machine::config`], the lint
+    /// and the tracer see it, and [`Machine::group_stats`] reports every
+    /// member in `cfgs` order.
+    pub fn new_group(cfgs: &[MachineConfig]) -> Self {
+        Self::try_new_group(cfgs).unwrap_or_else(|e| panic!("invalid machine config: {e}"))
+    }
+
+    /// [`Machine::new_group`], rejecting an empty group, a member that
+    /// fails [`MachineConfig::validate`] or differs from the first outside
+    /// the L2, and software prefetch in a group of more than one.
+    pub fn try_new_group(cfgs: &[MachineConfig]) -> Result<Self, ConfigError> {
+        let (&cfg, rest) = cfgs.split_first().ok_or(ConfigError::EmptyGroup)?;
         cfg.validate()?;
+        for (i, other) in rest.iter().enumerate() {
+            other.validate()?;
+            if (MachineConfig { l2: cfg.l2, ..*other }) != cfg {
+                return Err(ConfigError::GroupMismatch { member: i + 1 });
+            }
+        }
+        if cfg.sw_prefetch && !rest.is_empty() {
+            return Err(ConfigError::GroupPrefetch);
+        }
+        let shadows = rest
+            .iter()
+            .map(|c| Shadow { l2: Cache::new(c.l2), mem_lines: 0, cycle_diff: 0, mark: 0 })
+            .collect();
         let mvl = cfg.vlen_elems();
         let epc = cfg.elems_per_cycle() as u64;
         let mut m = Self {
@@ -112,6 +169,7 @@ impl Machine {
             scratch: vec![0.0; 8 * mvl].into_boxed_slice(),
             l1: Cache::new(cfg.l1),
             l2: Cache::new(cfg.l2),
+            shadows,
             stats: Stats::default(),
             epc,
             beats: 0,
@@ -251,8 +309,10 @@ impl Machine {
 
     /// Start recording every L2 access as a `(cycle, line)` pair. Used by
     /// the co-location contention study; costs memory proportional to the
-    /// run's L2 traffic, so prefer scaled-down layers.
+    /// run's L2 traffic, so prefer scaled-down layers. Single-config only:
+    /// the cycle stamps would differ between the members of a group.
     pub fn enable_l2_trace(&mut self) {
+        assert!(self.shadows.is_empty(), "the L2 trace needs a single-config machine");
         self.l2_trace = Some(Vec::new());
     }
 
@@ -281,7 +341,7 @@ impl Machine {
         self.stats.cycles
     }
 
-    /// Snapshot of all counters.
+    /// Snapshot of all counters (of the first member, for a group).
     pub fn stats(&self) -> Stats {
         let mut s = self.stats;
         s.l1_accesses = self.l1.accesses();
@@ -291,11 +351,31 @@ impl Machine {
         s
     }
 
+    /// Counters of every group member in construction order: the first is
+    /// [`Machine::stats`], each shadow differs from it only in `cycles`,
+    /// `mem_lines` and the L2 counters.
+    pub fn group_stats(&self) -> Vec<Stats> {
+        let first = self.stats();
+        let shadows = self.shadows.iter().map(|sh| Stats {
+            cycles: first.cycles.wrapping_add_signed(sh.cycle_diff),
+            mem_lines: sh.mem_lines,
+            l2_accesses: sh.l2.accesses(),
+            l2_misses: sh.l2.misses(),
+            ..first
+        });
+        std::iter::once(first).chain(shadows).collect()
+    }
+
     /// Clear timing counters and cache contents (cold start).
     pub fn reset(&mut self) {
         self.stats = Stats::default();
         self.l1.reset();
         self.l2.reset();
+        for sh in &mut self.shadows {
+            sh.l2.reset();
+            sh.mem_lines = 0;
+            sh.cycle_diff = 0;
+        }
         self.vl = self.mvl;
         self.refresh_vl_costs();
         if let Some(l) = self.lint.as_deref_mut() {
@@ -389,57 +469,80 @@ impl Machine {
     #[inline]
     fn line_cost(&mut self, line: u64, prefetched: bool) -> u64 {
         let c = self.cfg.cost;
-        let disc = if prefetched { c.prefetch_discount } else { 1 };
-        match self.cfg.vpu {
-            VpuStyle::Integrated => {
-                if self.l1.access_line(line) {
-                    c.l1_line
-                } else if self.trace_l2(line) {
-                    (c.l2_line / disc).max(1)
-                } else {
-                    // Prefetched fills are already counted in
-                    // `prefetch_lines`; counting them here too would
-                    // double-book the DRAM bytes.
-                    if !prefetched {
-                        self.stats.mem_lines += 1;
-                    }
-                    (c.mem_line / disc).max(1)
-                }
-            }
-            VpuStyle::Decoupled => {
-                // Vector memory bypasses L1 and talks to L2 directly.
-                if self.trace_l2(line) {
-                    (c.l2_line / disc).max(1)
-                } else {
-                    if !prefetched {
-                        self.stats.mem_lines += 1;
-                    }
-                    (c.mem_line / disc).max(1)
-                }
-            }
+        // Vector memory on a decoupled VPU bypasses L1 and talks to L2.
+        if self.cfg.vpu == VpuStyle::Integrated && self.l1.access_line(line) {
+            return c.l1_line;
         }
-    }
-
-    /// Access the L2 (recording the trace when enabled).
-    #[inline]
-    fn trace_l2(&mut self, line: u64) -> bool {
         if let Some(t) = self.l2_trace.as_mut() {
             t.push((self.stats.cycles, line));
         }
-        self.l2.access_line(line)
+        let (hit, miss) = if prefetched {
+            let d = c.prefetch_discount;
+            ((c.l2_line / d).max(1), (c.mem_line / d).max(1))
+        } else {
+            (c.l2_line.max(1), c.mem_line.max(1))
+        };
+        // Prefetched fills are already counted in `prefetch_lines`;
+        // counting them as demand too would double-book the DRAM bytes.
+        self.l2_access(line, hit, miss, !prefetched)
     }
 
-    /// Touch a contiguous byte range; returns cycle cost of the lines.
+    /// Access `line` in every member's L2; the line costs `hit` cycles on
+    /// an L2 hit and `miss` on a miss (a `demand` miss also counts a
+    /// memory line). Returns the first member's cost; each shadow books
+    /// the difference its own outcome makes.
     #[inline]
-    fn touch_range(&mut self, addr: usize, bytes: usize) -> u64 {
-        if bytes == 0 {
-            return 0;
-        }
-        let mut cost = 0;
-        for line in line_of(addr)..=line_of(addr + bytes - 1) {
-            cost += self.line_cost(line, false);
+    fn l2_access(&mut self, line: u64, hit: u64, miss: u64, demand: bool) -> u64 {
+        let cost = if self.l2.access_line(line) {
+            hit
+        } else {
+            self.stats.mem_lines += u64::from(demand);
+            miss
+        };
+        for sh in &mut self.shadows {
+            let own = if sh.l2.access_line(line) {
+                hit
+            } else {
+                sh.mem_lines += u64::from(demand);
+                miss
+            };
+            sh.cycle_diff += own as i64 - cost as i64;
         }
         cost
+    }
+
+    /// The line cost of a scalar access, which always goes through L1.
+    #[inline]
+    fn scalar_line_cost(&mut self, line: u64) -> u64 {
+        let c = self.cfg.cost;
+        if self.l1.access_line(line) {
+            c.l1_line
+        } else {
+            self.l2_access(line, c.l2_line, c.mem_line, true)
+        }
+    }
+
+    /// Touch a contiguous byte range and charge it as a unit-stride access
+    /// does, `max(line costs, beats)`, to every member: a shadow's lines
+    /// cost its own line sum, so its difference is re-settled under the
+    /// same `max`.
+    #[inline]
+    fn charge_unit_stride(&mut self, addr: usize, bytes: usize) {
+        for sh in &mut self.shadows {
+            sh.mark = sh.cycle_diff;
+        }
+        let mut cost = 0;
+        if bytes > 0 {
+            for line in line_of(addr)..=line_of(addr + bytes - 1) {
+                cost += self.line_cost(line, false);
+            }
+        }
+        let beats = self.beats;
+        self.stats.cycles += cost.max(beats);
+        for sh in &mut self.shadows {
+            let own = cost.wrapping_add_signed(sh.cycle_diff - sh.mark);
+            sh.cycle_diff = sh.mark + own.max(beats) as i64 - cost.max(beats) as i64;
+        }
     }
 
     /// Touch `n` elements `stride` bytes apart from `addr` (strided and
@@ -493,8 +596,7 @@ impl Machine {
         let vl = self.vl;
         assert!(src.len() >= vl, "vle32 source too short: {} < {}", src.len(), vl);
         self.mem_instr_base();
-        let cost = self.touch_range(src.as_ptr() as usize, vl * 4);
-        self.stats.cycles += cost.max(self.beats);
+        self.charge_unit_stride(src.as_ptr() as usize, vl * 4);
         if let Some(d) = self.reg_mut(vd) {
             d.copy_from_slice(&src[..vl]);
         }
@@ -509,8 +611,7 @@ impl Machine {
         assert!(dst.len() >= vl, "vse32 destination too short: {} < {}", dst.len(), vl);
         self.lint_read(vs, "vse32");
         self.mem_instr_base();
-        let cost = self.touch_range(dst.as_ptr() as usize, vl * 4);
-        self.stats.cycles += cost.max(self.beats);
+        self.charge_unit_stride(dst.as_ptr() as usize, vl * 4);
         if self.compute {
             dst[..vl].copy_from_slice(self.reg(vs));
         }
@@ -951,17 +1052,8 @@ impl Machine {
     /// Scalar load: reads `src[idx]` through the cache hierarchy (always
     /// via L1, even on a decoupled-VPU machine — the scalar core owns L1).
     pub fn scalar_load(&mut self, src: &[f32], idx: usize) -> f32 {
-        let c = self.cfg.cost;
-        let line = line_of(src.as_ptr() as usize + idx * 4);
-        let cost = if self.l1.access_line(line) {
-            c.l1_line
-        } else if self.l2.access_line(line) {
-            c.l2_line
-        } else {
-            self.stats.mem_lines += 1;
-            c.mem_line
-        };
-        self.stats.cycles += c.scalar_op + cost;
+        let cost = self.scalar_line_cost(line_of(src.as_ptr() as usize + idx * 4));
+        self.stats.cycles += self.cfg.cost.scalar_op + cost;
         self.stats.scalar_ops += 1;
         self.lint_tick();
         src[idx]
@@ -976,13 +1068,7 @@ impl Machine {
         let c = self.cfg.cost;
         let line = line_of(src.as_ptr() as usize + idx * 4);
         if !self.l1.access_line(line) {
-            let cost = if self.l2.access_line(line) {
-                c.l2_line
-            } else {
-                self.stats.mem_lines += 1;
-                c.mem_line
-            };
-            self.stats.cycles += cost;
+            self.stats.cycles += self.l2_access(line, c.l2_line, c.mem_line, true);
         }
         self.stats.scalar_ops += 1;
         self.lint_tick();
@@ -992,17 +1078,8 @@ impl Machine {
     /// Scalar store: writes `dst[idx]` through the cache hierarchy (a
     /// timing-only machine checks the index and writes nothing).
     pub fn scalar_store(&mut self, dst: &mut [f32], idx: usize, v: f32) {
-        let c = self.cfg.cost;
-        let line = line_of(dst.as_ptr() as usize + idx * 4);
-        let cost = if self.l1.access_line(line) {
-            c.l1_line
-        } else if self.l2.access_line(line) {
-            c.l2_line
-        } else {
-            self.stats.mem_lines += 1;
-            c.mem_line
-        };
-        self.stats.cycles += c.scalar_op + cost;
+        let cost = self.scalar_line_cost(line_of(dst.as_ptr() as usize + idx * 4));
+        self.stats.cycles += self.cfg.cost.scalar_op + cost;
         self.stats.scalar_ops += 1;
         let slot = &mut dst[idx];
         if self.compute {
