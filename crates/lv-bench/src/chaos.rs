@@ -24,114 +24,49 @@
 
 use std::fmt::Write as _;
 
-use lv_conv::ALL_ALGOS;
 use lv_fleet::{
-    AttainSlice, Bursts, ChipSpec, DegradePolicy, Diurnal, FaultScenario, FaultSpec,
-    FaultTolerance, FleetConfig, FleetReport, FleetSim, HedgePolicy, Policy, WorkloadSpec,
-    ALL_SCENARIOS,
+    AttainSlice, ChipSpec, DegradePolicy, FaultScenario, FaultSpec, FaultTolerance, FleetConfig,
+    FleetReport, FleetSim, HedgePolicy, Policy, WorkloadSpec, ALL_SCENARIOS,
 };
-use lv_serving::partition_l2;
 
 use crate::chart::table;
 use crate::error::BenchError;
 use crate::figures::write_result;
-use crate::grid::{policy_cycles, GridRow, P2_L2S};
-use crate::plan::{Executor, Model, SweepPlan};
+use crate::fleet::{
+    chip_menu, class_service_s, het_2_2_2, mean_service, replica_l2, workload, ATTAIN_BAR, WEIGHTS,
+};
+use crate::plan::Executor;
 use crate::trace::{TraceCtx, PID_FLEET};
 
-/// Simulated clock of the grid measurements (2 GHz).
-const CLOCK_HZ: f64 = 2e9;
 /// Arrivals simulated per sweep point.
 const REQUESTS: usize = 3_000;
-/// Request classes served by the fleet (class id = index).
-const CLASSES: [&str; 2] = ["vgg16", "yolov3-20"];
-/// Offered mix of the classes.
-const WEIGHTS: [f64; 2] = [0.6, 0.4];
 /// Offered load as fractions of nominal capacity. Deliberately below
 /// saturation: the sweep isolates fault damage from queueing collapse.
 const FRACS: [f64; 3] = [0.4, 0.6, 0.8];
 /// Index into [`FRACS`] used for the headline per-scenario metrics.
 const REF_FRAC: usize = 1;
-/// SLO-attainment bar defining "capacity under SLO".
-const ATTAIN_BAR: f64 = 0.95;
 /// Per-slice attainment bar for the time-to-recover measurement.
 const RECOVER_BAR: f64 = 0.90;
-/// The chip menu, as in the `fleet` artifact.
-const MENU: [(&str, usize, usize, usize); 3] =
-    [("small", 1024, 2, 2), ("knee", 2048, 2, 2), ("big", 4096, 32, 2)];
 
-/// Optimal-policy conv-stack seconds of `model` at (vlen, per-replica L2).
-fn stack_seconds(rows: &[GridRow], model: &str, vlen: usize, l2: usize) -> f64 {
-    let cycles: u64 = crate::grid::table1_layers(1.0)
-        .iter()
-        .filter(|(m, _, _)| m == model)
-        .map(|(_, l, _)| policy_cycles(rows, model, *l, vlen, l2, None).unwrap_or(0))
-        .sum();
-    cycles as f64 / CLOCK_HZ
-}
-
-/// Measure one menu chip through the shared executor, with a degraded
-/// service table: the same network at half the spatial resolution — a
-/// real cheaper algorithm measured on the same silicon, not a fudge
-/// factor. Both sweeps run the calibrated fast tier and land in the
+/// The `fleet` artifact's chip menu, each chip with a degraded service
+/// table: the same network at half the spatial resolution — a real
+/// cheaper algorithm measured on the same silicon, not a fudge factor.
+/// Both sweeps run the calibrated fast tier and land in the
 /// content-addressed cell cache.
-fn chip_spec(
+fn degradable_menu(
     exec: &Executor,
     ctx: &TraceCtx,
     scale: f64,
-    name: &str,
-    vlen: usize,
-    shared_l2: usize,
-    replicas: usize,
-) -> Result<ChipSpec, BenchError> {
-    let part = partition_l2(shared_l2, replicas, &P2_L2S)
-        .expect("menu shared L2 / replicas lands on a measured partition");
-    let plan_at = |s: f64, tag: &str| {
-        SweepPlan::new(&format!("chaos-{name}{tag}"))
-            .layers(Model::Vgg16)
-            .layers(Model::Yolo20)
-            .scale(s)
-            .vlens(&[vlen])
-            .l2s(&[part])
-            .algos(&ALL_ALGOS)
-            .backend(lv_models::BackendKind::Fast)
-    };
-    let rows = exec.run(&plan_at(scale, ""), ctx)?.rows;
-    let service_s: Vec<f64> = CLASSES.iter().map(|m| stack_seconds(&rows, m, vlen, part)).collect();
-    let half = exec.run(&plan_at(scale * 0.5, "-half"), ctx)?.rows;
-    let degraded: Vec<f64> = CLASSES
-        .iter()
-        .zip(&service_s)
-        .map(|(m, &s)| stack_seconds(&half, m, vlen, part).min(s))
-        .collect();
-    Ok(ChipSpec {
-        name: name.into(),
-        vlen_bits: vlen,
-        l2_mib: shared_l2,
-        replicas,
-        service_s,
-        degraded_service_s: Some(degraded),
-    })
-}
-
-/// Arrival trace for one sweep point: same diurnal + burst shape as the
-/// `fleet` artifact. The seed depends on the load point but NOT the
-/// scenario or tolerance, so every cell of a comparison sees the exact
-/// same arrivals.
-fn workload(rate: f64, seed: u64) -> WorkloadSpec {
-    let duration = REQUESTS as f64 / rate;
-    WorkloadSpec {
-        rate_rps: rate,
-        requests: REQUESTS,
-        class_weights: WEIGHTS.to_vec(),
-        diurnal: Some(Diurnal { amplitude: 0.3, period_s: duration / 3.0 }),
-        bursts: Some(Bursts {
-            factor: 2.0,
-            mean_interval_s: duration / 2.0,
-            duration_s: duration / 15.0,
-        }),
-        seed,
+) -> Result<Vec<ChipSpec>, BenchError> {
+    let mut menu = chip_menu(exec, ctx, "chaos", scale)?;
+    for chip in &mut menu {
+        let id = format!("chaos-{}-half", chip.name);
+        let l2 = replica_l2(chip.l2_mib, chip.replicas);
+        let half = class_service_s(exec, ctx, &id, scale * 0.5, chip.vlen_bits, l2)?;
+        chip.degraded_service_s =
+            Some(half.iter().zip(&chip.service_s).map(|(&h, &s)| h.min(s)).collect());
     }
+    Ok(menu)
 }
 
 /// The three tolerance stacks under test, in report order.
@@ -210,7 +145,7 @@ fn run_cell(
             ..FleetConfig::basic(
                 chips.to_vec(),
                 Policy::ModelAffinity,
-                workload(rate, seed + fi as u64),
+                workload(REQUESTS, rate, seed + fi as u64),
                 slo_s,
             )
         };
@@ -264,36 +199,17 @@ pub fn chaos_report(
     seed: u64,
     faults: Option<FaultScenario>,
 ) -> Result<String, BenchError> {
-    let menu: Vec<ChipSpec> = MENU
-        .iter()
-        .map(|&(name, vlen, l2, reps)| chip_spec(exec, ctx, scale, name, vlen, l2, reps))
-        .collect::<Result<_, _>>()?;
-    let (small, knee, big) = (&menu[0], &menu[1], &menu[2]);
-    let mean_svc = |c: &ChipSpec| {
-        c.service_s.iter().zip(WEIGHTS).map(|(s, w)| s * w).sum::<f64>()
-            / WEIGHTS.iter().sum::<f64>()
-    };
-    let slo_s = 8.0 * mean_svc(knee);
+    let menu = degradable_menu(exec, ctx, scale)?;
+    let knee = &menu[1];
+    let slo_s = 8.0 * mean_service(knee);
 
     let scenarios: Vec<FaultScenario> = match faults {
         None => ALL_SCENARIOS.iter().copied().filter(|&s| s != FaultScenario::None).collect(),
         Some(FaultScenario::None) => vec![],
         Some(sc) => vec![sc],
     };
-    let fleets: Vec<(&str, Vec<ChipSpec>)> = vec![
-        ("hom-knee", vec![knee.clone(); 6]),
-        (
-            "het-2+2+2",
-            vec![
-                small.clone(),
-                small.clone(),
-                knee.clone(),
-                knee.clone(),
-                big.clone(),
-                big.clone(),
-            ],
-        ),
-    ];
+    let fleets: Vec<(&str, Vec<ChipSpec>)> =
+        vec![("hom-knee", vec![knee.clone(); 6]), ("het-2+2+2", het_2_2_2(&menu))];
 
     let mut out = format!(
         "chaos: fault-tolerant fleet serving under deterministic fault injection\n\
@@ -398,7 +314,7 @@ pub fn chaos_report(
         let (_, het) = &fleets[1];
         let capacity: f64 = het.iter().map(|c| c.capacity_rps(&WEIGHTS)).sum();
         let rate = 0.8 * capacity;
-        let wl = WorkloadSpec { requests: 400, ..workload(rate, seed + 11) };
+        let wl = WorkloadSpec { requests: 400, ..workload(REQUESTS, rate, seed + 11) };
         let cfg = FleetConfig {
             admission_control: true,
             faults: Some(FaultSpec::scenario(FaultScenario::All, seed + 7_000, 400.0 / rate)),

@@ -84,12 +84,12 @@ pub fn run_experiment_traced(
         "table1" => table1_report(scale),
         "fig1" => {
             let rows = run(&baseline_plan("fig1", Model::Vgg16, scale))?;
-            crate::trace::traced_fig_run(ctx, &rows, "vgg16", scale);
+            crate::trace::traced_fig_run(ctx, &rows, "vgg16", scale)?;
             fig1_2(&rows, "vgg16", "fig1")?
         }
         "fig2" => {
             let rows = run(&baseline_plan("fig2", Model::Yolo20, scale))?;
-            crate::trace::traced_fig_run(ctx, &rows, "yolov3-20", scale);
+            crate::trace::traced_fig_run(ctx, &rows, "yolov3-20", scale)?;
             fig1_2(&rows, "yolov3-20", "fig2")?
         }
         "fig3" => fig3_4(&run(&vl_plan("fig3", Model::Vgg16, scale))?, "vgg16", "fig3")?,
@@ -104,23 +104,16 @@ pub fn run_experiment_traced(
         "fig8" => {
             fig5_8(&run(&l2_plan("fig8", Model::Yolo20, 4096, scale))?, "yolov3-20", 4096, "fig8")?
         }
-        // These read the full Paper II grid (both models, all 16 configs):
-        // the selector trains on all of it and the Pareto/serving analyses
-        // sweep every design point. The dataset/selector training sweeps
-        // are coarse consumers — they default to the calibrated fast tier
-        // (override with `--backend cycle`); the figures stay
-        // cycle-accurate.
-        "dataset" => {
-            dataset_report(&run(&plan::paper2_plan(scale).backend(lv_models::BackendKind::Fast))?)?
-        }
-        "selector" => {
-            selector_report(&run(&plan::paper2_plan(scale).backend(lv_models::BackendKind::Fast))?)
-        }
+        // These read the full Paper II grid (both models, all 16 configs)
+        // on the cycle tier: the selector trains on all of it and the
+        // Pareto/serving analyses sweep every design point.
+        "dataset" => dataset_report(&run(&plan::paper2_plan(scale))?)?,
+        "selector" => selector_report(&run(&plan::paper2_plan(scale))?),
         "fig9" => fig9_10(&run(&plan::paper2_plan(scale))?, "vgg16", "fig9")?,
         "fig10" => fig9_10(&run(&plan::paper2_plan(scale))?, "yolov3-20", "fig10")?,
         "fig11" => fig11(&run(&plan::paper2_plan(scale))?)?,
         "fig12" => fig12(&run(&plan::paper2_plan(scale))?)?,
-        "serve" => crate::serving::serve_report(&run(&plan::paper2_plan(scale))?, ctx, seed),
+        "serve" => crate::serving::serve_report(&run(&plan::paper2_plan(scale))?, ctx, seed)?,
         "fleet" => crate::fleet::fleet_report(scale, exec, ctx, seed)?,
         "chaos" => crate::chaos::chaos_report(scale, exec, ctx, seed, faults)?,
         "p1-vl" => p1_vl(&run(&plan::p1_dec_plan(scale).l2s(&[1]))?),
@@ -1308,8 +1301,7 @@ fn ablation_unroll(scale: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::grid::{run_points, SimPoint};
-    use lv_sim::MachineConfig;
+    use crate::plan::ExecOptions;
     use lv_tensor::ConvShape;
 
     #[test]
@@ -1331,14 +1323,13 @@ mod tests {
 
     #[test]
     fn p1_model_total_filters() {
-        let pts = vec![SimPoint {
-            model: "x/dec".into(),
-            layer: 1,
-            shape: ConvShape::same_pad(2, 4, 8, 3, 1),
-            cfg: MachineConfig::rvv_decoupled(512, 1),
-            algo: Algo::Gemm3,
-        }];
-        let rows = run_points(pts, false);
+        let plan = SweepPlan::new("t")
+            .layer("x", 1, ConvShape::same_pad(2, 4, 8, 3, 1))
+            .suffix("/dec")
+            .decoupled()
+            .algo(Algo::Gemm3);
+        let exec = Executor::new(ExecOptions { no_cache: true, ..Default::default() });
+        let rows = exec.run(&plan, &TraceCtx::disabled()).expect("uncached run").rows;
         assert!(p1_model_total(&rows, "x/dec", 512, 1, None).is_some());
         assert!(p1_model_total(&rows, "x/dec", 1024, 1, None).is_none());
     }

@@ -14,9 +14,12 @@
 //! throughput-per-mm². A reactive-autoscaling ablation closes the loop
 //! back to silicon: extra replicas are billed at peak area.
 //!
-//! Warm reruns simulate nothing: every grid cell the chip menu needs is
-//! content-addressed in the executor's cache (and shared with
-//! `grid`/`fig9`-`fig12`, which sweep a superset).
+//! Warm reruns simulate nothing: every fast-tier cell the chip menu
+//! needs is content-addressed in the executor's cache.
+//!
+//! This module owns the fleet inputs the `chaos` artifact reuses: the
+//! chip menu and its per-class service tables, the class mix, the
+//! het-2+2+2 composition and the diurnal + burst arrival trace.
 
 use std::fmt::Write as _;
 
@@ -29,7 +32,8 @@ use lv_serving::partition_l2;
 
 use crate::chart::table;
 use crate::error::BenchError;
-use crate::grid::{policy_cycles, results_dir, GridRow, P2_L2S};
+use crate::figures::write_result;
+use crate::grid::{policy_cycles, GridRow, P2_L2S};
 use crate::plan::{Executor, Model, SweepPlan};
 use crate::trace::{TraceCtx, PID_FLEET};
 
@@ -37,21 +41,27 @@ use crate::trace::{TraceCtx, PID_FLEET};
 const CLOCK_HZ: f64 = 2e9;
 /// Arrivals simulated per (composition, load) sweep point.
 const REQUESTS: usize = 6_000;
-/// Request classes served by the fleet (class id = index).
+/// Request classes served by every fleet (class id = index).
 const CLASSES: [&str; 2] = ["vgg16", "yolov3-20"];
 /// Offered mix of the classes.
-const WEIGHTS: [f64; 2] = [0.6, 0.4];
+pub(crate) const WEIGHTS: [f64; 2] = [0.6, 0.4];
 /// Offered load as fractions of the composition's nominal capacity.
 const FRACS: [f64; 5] = [0.5, 0.7, 0.85, 1.0, 1.2];
 /// SLO-attainment bar defining "capacity under SLO".
-const ATTAIN_BAR: f64 = 0.95;
+pub(crate) const ATTAIN_BAR: f64 = 0.95;
 /// The chip menu: (name, vlen_bits, shared L2 MiB, replicas). All three
 /// sit on the Paper II frontier; "knee" is the 2048-bit Pareto knee.
 const MENU: [(&str, usize, usize, usize); 3] =
     [("small", 1024, 2, 2), ("knee", 2048, 2, 2), ("big", 4096, 32, 2)];
 
-/// Optimal-policy conv-stack seconds of `model` at (vlen, per-replica
-/// L2) — the same derivation the `serve` artifact uses.
+/// Per-replica L2 of a chip: its shared L2 CAT-split across `replicas`,
+/// snapped down to a measured Paper II size.
+pub(crate) fn replica_l2(shared_l2: usize, replicas: usize) -> usize {
+    partition_l2(shared_l2, replicas, &P2_L2S)
+        .expect("menu shared L2 / replicas lands on a measured partition")
+}
+
+/// Optimal-policy conv-stack seconds of `model` at (vlen, per-replica L2).
 fn stack_seconds(rows: &[GridRow], model: &str, vlen: usize, l2: usize) -> f64 {
     let cycles: u64 = crate::grid::table1_layers(1.0)
         .iter()
@@ -61,53 +71,76 @@ fn stack_seconds(rows: &[GridRow], model: &str, vlen: usize, l2: usize) -> f64 {
     cycles as f64 / CLOCK_HZ
 }
 
-/// Measure one menu chip through the shared executor: a two-model,
-/// one-config sweep plan (a subset of the Paper II grid, so warm runs
-/// hit the cell cache for every point) whose Optimal stack times become
-/// the chip's per-class service table.
-fn chip_spec(
+/// Per-class Optimal stack seconds at one (vlen, per-replica L2) point,
+/// measured through the shared executor as plan `id`: a two-model,
+/// one-config subset of the Paper II grid. Capacity planning only ranks
+/// stacks, so these plans default to the calibrated fast tier
+/// (`--backend cycle` still overrides via the executor).
+pub(crate) fn class_service_s(
     exec: &Executor,
     ctx: &TraceCtx,
+    id: &str,
     scale: f64,
-    name: &str,
     vlen: usize,
-    shared_l2: usize,
-    replicas: usize,
-) -> Result<ChipSpec, BenchError> {
-    let part = partition_l2(shared_l2, replicas, &P2_L2S)
-        .expect("menu shared L2 / replicas lands on a measured partition");
-    // Capacity planning is a coarse consumer: the calibrated fast tier
-    // is accurate enough to rank stacks, so fleet plans default to it
-    // (`--backend cycle` still overrides via the executor).
-    let plan = SweepPlan::new(&format!("fleet-{name}"))
+    l2: usize,
+) -> Result<Vec<f64>, BenchError> {
+    let plan = SweepPlan::new(id)
         .layers(Model::Vgg16)
         .layers(Model::Yolo20)
         .scale(scale)
         .vlens(&[vlen])
-        .l2s(&[part])
+        .l2s(&[l2])
         .algos(&ALL_ALGOS)
         .backend(lv_models::BackendKind::Fast);
     let rows = exec.run(&plan, ctx)?.rows;
-    let service_s = CLASSES.iter().map(|m| stack_seconds(&rows, m, vlen, part)).collect();
-    Ok(ChipSpec {
-        name: name.into(),
-        vlen_bits: vlen,
-        l2_mib: shared_l2,
-        replicas,
-        service_s,
-        degraded_service_s: None,
-    })
+    Ok(CLASSES.iter().map(|m| stack_seconds(&rows, m, vlen, l2)).collect())
 }
 
-/// The arrival trace for one sweep point: Poisson at `rate`, modulated
-/// by a diurnal curve (mean-one, so offered load is conserved) and flash
-/// bursts. The seed depends on (composition, load) but NOT the policy,
-/// so policies are compared on identical traces.
-fn workload(rate: f64, seed: u64) -> WorkloadSpec {
-    let duration = REQUESTS as f64 / rate;
+/// Measure the chip menu as plans `<artifact>-<chip>`: each chip's
+/// Optimal stack times become its per-class service table.
+pub(crate) fn chip_menu(
+    exec: &Executor,
+    ctx: &TraceCtx,
+    artifact: &str,
+    scale: f64,
+) -> Result<Vec<ChipSpec>, BenchError> {
+    MENU.iter()
+        .map(|&(name, vlen, l2_mib, replicas)| {
+            let id = format!("{artifact}-{name}");
+            let l2 = replica_l2(l2_mib, replicas);
+            Ok(ChipSpec {
+                name: name.into(),
+                vlen_bits: vlen,
+                l2_mib,
+                replicas,
+                service_s: class_service_s(exec, ctx, &id, scale, vlen, l2)?,
+                degraded_service_s: None,
+            })
+        })
+        .collect()
+}
+
+/// Mean per-request service time of `chip` under the class mix.
+pub(crate) fn mean_service(chip: &ChipSpec) -> f64 {
+    chip.service_s.iter().zip(WEIGHTS).map(|(s, w)| s * w).sum::<f64>()
+        / WEIGHTS.iter().sum::<f64>()
+}
+
+/// The heterogeneous six-node fleet: two of each menu chip, in menu order.
+pub(crate) fn het_2_2_2(menu: &[ChipSpec]) -> Vec<ChipSpec> {
+    menu.iter().flat_map(|c| [c.clone(), c.clone()]).collect()
+}
+
+/// The arrival trace for one sweep point: `requests` Poisson arrivals at
+/// `rate`, modulated by a diurnal curve (mean-one, so offered load is
+/// conserved) and flash bursts. Callers derive `seed` from the load
+/// point but not from the policy or tolerance under comparison, so those
+/// are compared on identical traces.
+pub(crate) fn workload(requests: usize, rate: f64, seed: u64) -> WorkloadSpec {
+    let duration = requests as f64 / rate;
     WorkloadSpec {
         rate_rps: rate,
-        requests: REQUESTS,
+        requests,
         class_weights: WEIGHTS.to_vec(),
         diurnal: Some(Diurnal { amplitude: 0.3, period_s: duration / 3.0 }),
         bursts: Some(Bursts {
@@ -138,35 +171,18 @@ pub fn fleet_report(
     ctx: &TraceCtx,
     seed: u64,
 ) -> Result<String, BenchError> {
-    let menu: Vec<ChipSpec> = MENU
-        .iter()
-        .map(|&(name, vlen, l2, reps)| chip_spec(exec, ctx, scale, name, vlen, l2, reps))
-        .collect::<Result<_, _>>()?;
+    let menu = chip_menu(exec, ctx, "fleet", scale)?;
     let (small, knee, big) = (&menu[0], &menu[1], &menu[2]);
     // One SLO for every composition, anchored on the knee chip's mix so
     // capacity-under-SLO is comparable across fleets: generous enough
     // for moderate queueing, tight enough that saturation busts it.
-    let mean_svc = |c: &ChipSpec| {
-        c.service_s.iter().zip(WEIGHTS).map(|(s, w)| s * w).sum::<f64>()
-            / WEIGHTS.iter().sum::<f64>()
-    };
-    let slo_s = 8.0 * mean_svc(knee);
+    let slo_s = 8.0 * mean_service(knee);
 
     let compositions: Vec<(&str, Vec<ChipSpec>)> = vec![
         ("hom-small", vec![small.clone(); 6]),
         ("hom-knee", vec![knee.clone(); 6]),
         ("hom-big", vec![big.clone(); 6]),
-        (
-            "het-2+2+2",
-            vec![
-                small.clone(),
-                small.clone(),
-                knee.clone(),
-                knee.clone(),
-                big.clone(),
-                big.clone(),
-            ],
-        ),
+        ("het-2+2+2", het_2_2_2(&menu)),
     ];
 
     let mut out = format!(
@@ -184,7 +200,7 @@ pub fn fleet_report(
     let menu_rows: Vec<Vec<String>> = menu
         .iter()
         .map(|c| {
-            let part = partition_l2(c.l2_mib, c.replicas, &P2_L2S).unwrap();
+            let part = replica_l2(c.l2_mib, c.replicas);
             vec![
                 c.name.clone(),
                 format!("{}b", c.vlen_bits),
@@ -222,7 +238,7 @@ pub fn fleet_report(
             let mut cells = vec![policy.name().to_string()];
             let mut by_frac = Vec::new();
             for (fi, &frac) in FRACS.iter().enumerate() {
-                let wl = workload(frac * capacity, seed + (ci * FRACS.len() + fi) as u64);
+                let wl = workload(REQUESTS, frac * capacity, seed + (ci * FRACS.len() + fi) as u64);
                 let rep = run_fleet(fleet_cfg(chips.clone(), policy, wl, slo_s));
                 if rep.slo_attainment >= ATTAIN_BAR {
                     cap_under_slo = cap_under_slo.max(rep.achieved_rps);
@@ -282,12 +298,12 @@ pub fn fleet_report(
     let het_capacity: f64 = het_chips.iter().map(|c| c.capacity_rps(&WEIGHTS)).sum();
     let scaler = AutoscalePolicy {
         breach_depth: 16,
-        sustain_s: 20.0 * mean_svc(knee),
+        sustain_s: 20.0 * mean_service(knee),
         max_replicas: 4,
-        cooldown_s: 40.0 * mean_svc(knee),
+        cooldown_s: 40.0 * mean_service(knee),
         scale_down: None,
     };
-    let overload = workload(1.2 * het_capacity, seed + 1000);
+    let overload = workload(REQUESTS, 1.2 * het_capacity, seed + 1000);
     let fixed =
         run_fleet(fleet_cfg(het_chips.clone(), Policy::ModelAffinity, overload.clone(), slo_s));
     let scaled = run_fleet(FleetConfig {
@@ -315,12 +331,13 @@ pub fn fleet_report(
         scaled.scale_events.len(),
     );
 
-    std::fs::write(results_dir().join("fleet.csv"), csv).ok();
+    write_result("fleet.csv", &csv)?;
 
     // Traced showcase: short heterogeneous run, loaded enough to drop
     // and autoscale, emitting router/node events under PID_FLEET.
     if ctx.tracer.is_enabled() {
-        let wl = WorkloadSpec { requests: 400, ..workload(1.3 * het_capacity, seed + 2000) };
+        let wl =
+            WorkloadSpec { requests: 400, ..workload(REQUESTS, 1.3 * het_capacity, seed + 2000) };
         let cfg = FleetConfig {
             autoscale: Some(scaler),
             ..fleet_cfg(het_chips.clone(), Policy::ModelAffinity, wl, slo_s)

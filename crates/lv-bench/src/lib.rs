@@ -1,9 +1,11 @@
 //! # lv-bench — the experiment harness
 //!
 //! One entry point per table/figure of the paper (see `DESIGN.md` for the
-//! experiment index). The heavy lifting is a cached measurement grid
-//! ([`grid`]); figure generators aggregate it into the paper's tables and
-//! ASCII charts. Run via the `repro` binary:
+//! experiment index). Every artifact declares the slice of the
+//! measurement grid it reads as a [`plan::SweepPlan`]; one
+//! [`plan::Executor`] runs it through a content-addressed cell cache into
+//! [`grid::GridRow`]s, which the figure generators aggregate into the
+//! paper's tables and ASCII charts. Run via the `repro` binary:
 //!
 //! ```text
 //! cargo run --release -p lv-bench --bin repro -- all --scale 1.0

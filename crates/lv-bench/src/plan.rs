@@ -336,9 +336,8 @@ impl SweepPlan {
 
 /// The full Paper II measurement grid: both Table-1 conv stacks × 16
 /// hardware configs × every algorithm on the integrated machine. The
-/// union every Paper II figure slices from; expansion order matches the
-/// historical `paper2_points` nesting, so the selector dataset's row
-/// order is unchanged.
+/// union every Paper II figure slices from. Its expansion order (layer →
+/// vlen → L2 → algorithm) is the selector dataset's row order.
 pub fn paper2_plan(scale: f64) -> SweepPlan {
     SweepPlan::new("grid")
         .layers(Model::Vgg16)

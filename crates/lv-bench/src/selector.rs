@@ -166,32 +166,19 @@ pub fn predicted_cycles(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::grid::{run_points, SimPoint};
-    use lv_sim::MachineConfig;
+    use crate::plan::{ExecOptions, Executor, SweepPlan};
+    use crate::trace::TraceCtx;
 
     /// A small synthetic grid good enough to exercise the plumbing.
     fn mini_grid() -> Vec<GridRow> {
-        let mut pts = Vec::new();
-        for (layer, shape) in
-            [ConvShape::same_pad(3, 16, 24, 3, 1), ConvShape::same_pad(16, 8, 12, 1, 1)]
-                .into_iter()
-                .enumerate()
-        {
-            for vlen in P2_VLENS {
-                for l2 in [1usize, 4] {
-                    for algo in ALL_ALGOS {
-                        pts.push(SimPoint {
-                            model: "mini".into(),
-                            layer: layer + 1,
-                            shape,
-                            cfg: MachineConfig::rvv_integrated(vlen, l2),
-                            algo,
-                        });
-                    }
-                }
-            }
-        }
-        run_points(pts, false)
+        let plan = SweepPlan::new("mini")
+            .layer("mini", 1, ConvShape::same_pad(3, 16, 24, 3, 1))
+            .layer("mini", 2, ConvShape::same_pad(16, 8, 12, 1, 1))
+            .vlens(&P2_VLENS)
+            .l2s(&[1, 4])
+            .algos(&ALL_ALGOS);
+        let exec = Executor::new(ExecOptions { no_cache: true, ..Default::default() });
+        exec.run(&plan, &TraceCtx::disabled()).expect("uncached run").rows
     }
 
     #[test]

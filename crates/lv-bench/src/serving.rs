@@ -21,7 +21,9 @@ use lv_conv::Algo;
 use lv_serving::{partition_l2, BatchPolicy, EngineConfig, RequestClass, ServingEngine};
 
 use crate::chart::table;
-use crate::grid::{policy_cycles, results_dir, table1_layers, GridRow, P2_L2S};
+use crate::error::BenchError;
+use crate::figures::write_result;
+use crate::grid::{policy_cycles, table1_layers, GridRow, P2_L2S};
 use crate::selector::{evaluate_selector, predicted_cycles, tuned_params, SelectorEval};
 use crate::trace::{TraceCtx, PID_SERVING};
 
@@ -139,7 +141,7 @@ fn classes_for(services: &[ModelService], pick: Pick) -> Vec<RequestClass> {
 /// (default 42 = the historical hardcoded base) offsets every engine
 /// run's arrival stream, so `repro serve --seed N` resamples the whole
 /// sweep.
-pub fn serve_report(rows: &[GridRow], ctx: &TraceCtx, seed: u64) -> String {
+pub fn serve_report(rows: &[GridRow], ctx: &TraceCtx, seed: u64) -> Result<String, BenchError> {
     let eval = evaluate_selector(rows, tuned_params());
     let l2_mib = partition_l2(SHARED_L2_MIB, REPLICAS, &P2_L2S)
         .expect("64 MiB / 4 replicas lands on a measured L2 size");
@@ -301,7 +303,7 @@ pub fn serve_report(rows: &[GridRow], ctx: &TraceCtx, seed: u64) -> String {
     }
     out.push_str(&table(&["max batch", "mean batch", "achieved", "p99 ms", "drops"], &brows));
 
-    std::fs::write(results_dir().join("serve.csv"), csv).ok();
+    write_result("serve.csv", &csv)?;
 
     // Traced showcase run: small enough to keep the trace readable, loaded
     // enough (1.3x capacity, tight deadline) to exercise every lifecycle
@@ -323,5 +325,5 @@ pub fn serve_report(rows: &[GridRow], ctx: &TraceCtx, seed: u64) -> String {
             .expect("traced config is valid")
             .run_traced(&ctx.tracer, PID_SERVING);
     }
-    out
+    Ok(out)
 }

@@ -15,10 +15,12 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use lv_conv::{Algo, ALL_ALGOS};
-use lv_models::{generate_weights, run_network, zoo, NetworkReport};
+use lv_models::{generate_weights, run_network, zoo};
 use lv_sim::{Machine, MachineConfig, Tracer, TrackId};
 use lv_trace::WallClock;
 
+use crate::error::BenchError;
+use crate::figures::write_result;
 use crate::grid::{self, results_dir, GridRow};
 
 /// Chrome-trace process id of the harness (wall-clock spans).
@@ -123,14 +125,14 @@ pub fn traced_fig_run(
     rows: &[GridRow],
     model_name: &str,
     scale: f64,
-) -> Option<NetworkReport> {
+) -> Result<(), BenchError> {
     if !ctx.tracer.is_enabled() {
-        return None;
+        return Ok(());
     }
     let model = match model_name {
         "vgg16" => zoo::vgg16(),
         "yolov3-20" => zoo::yolov3_first20(),
-        _ => return None,
+        _ => return Ok(()),
     }
     .scaled(scale);
     let assign = best_assignment(rows, model_name, model.conv_count());
@@ -138,12 +140,11 @@ pub fn traced_fig_run(
     let mut m = Machine::new(MachineConfig::rvv_integrated(512, 1));
     m.set_tracer(ctx.tracer.clone(), track);
     let weights = generate_weights(&model);
-    let report = run_network(&mut m, &model, &assign, &weights);
+    run_network(&mut m, &model, &assign, &weights);
 
     let roofline = lv_trace::roofline::rows_on(&ctx.tracer, track);
-    let path = results_dir().join(format!("roofline-{model_name}.csv"));
-    std::fs::create_dir_all(results_dir()).ok();
-    std::fs::write(&path, lv_trace::roofline::to_csv(&roofline)).ok();
-    println!("[roofline written to {}]", path.display());
-    Some(report)
+    let name = format!("roofline-{model_name}.csv");
+    write_result(&name, &lv_trace::roofline::to_csv(&roofline))?;
+    println!("[roofline written to {}]", results_dir().join(name).display());
+    Ok(())
 }

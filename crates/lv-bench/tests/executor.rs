@@ -6,7 +6,7 @@
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use lv_bench::grid::{to_csv, GridRow, P2_L2S};
+use lv_bench::grid::{GridRow, P2_L2S};
 use lv_bench::plan::{ExecOptions, Executor, SweepPlan};
 use lv_bench::trace::TraceCtx;
 use lv_conv::Algo;
@@ -104,9 +104,8 @@ fn warm_rerun_reproduces_csv_bit_for_bit() {
     let (rows_warm, warm) = run(&Executor::new(opts(&dir)), &plan);
     assert_eq!(warm.simulated, 0);
     assert_eq!(
-        to_csv(&rows_cold),
-        to_csv(&rows_warm),
-        "warm rerun through the JSONL cache must reproduce the CSV bit for bit"
+        rows_cold, rows_warm,
+        "warm rerun through the JSONL cache must reproduce every row a CSV is written from"
     );
 }
 
@@ -243,7 +242,7 @@ fn cycle_tier_runs_one_pass_per_l2_group() {
 
     let (rows2, warm) = run(&Executor::new(opts(&dir)), &plan);
     assert_eq!((warm.simulated, warm.passes, warm.hit), (0, 0, 32));
-    assert_eq!(to_csv(&rows), to_csv(&rows2));
+    assert_eq!(rows, rows2);
 }
 
 #[test]

@@ -239,3 +239,22 @@ fn backend_flag_validates_and_fast_tier_caches() {
         "warm fast-tier rerun must be fully cached: {warm_out}"
     );
 }
+
+/// Result CSVs go through the same checked writer as every report: with
+/// `--no-cache` nothing else creates the results dir first, and a CSV
+/// write into a dir that does not exist yet must create it, not be
+/// silently dropped.
+#[test]
+fn result_csvs_land_in_a_results_dir_that_does_not_exist_yet() {
+    let root = temp_dir("fresh");
+    for (args, csv) in [
+        (&["fleet", "--scale", "0.25", "--no-cache"][..], "fleet.csv"),
+        (&["serve", "--scale", "0.12", "--no-cache", "--backend", "fast"][..], "serve.csv"),
+    ] {
+        let dir = root.join(args[0]);
+        let out = repro().env("LVCONV_RESULTS", &dir).args(args).output().expect("spawn repro");
+        assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+        let len = std::fs::metadata(dir.join(csv)).map_or(0, |m| m.len());
+        assert!(len > 0, "{args:?} must write a non-empty {csv}");
+    }
+}

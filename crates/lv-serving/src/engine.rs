@@ -441,6 +441,10 @@ mod tests {
             ServingEngine::new(EngineConfig { arrival_rate: 0.0, ..base(100.0) }).unwrap_err(),
             ServingError::InvalidArrivalRate(_)
         ));
+        assert!(matches!(
+            ServingEngine::new(EngineConfig::basic(4, 0.0, 100.0, 20_000, 9)).unwrap_err(),
+            ServingError::InvalidServiceTime(_)
+        ));
     }
 
     #[test]
@@ -486,6 +490,19 @@ mod tests {
         assert!((rep.achieved_rps - 100.0).abs() / 100.0 < 0.05);
         assert!(rep.utilization < 0.5);
         assert!((rep.mean_batch_size - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn more_replicas_cut_p99_at_equal_load() {
+        // 350 rps is 0.875x the capacity of 4 replicas but 0.44x of 8.
+        let four = ServingEngine::new(base(350.0)).unwrap().run();
+        let eight = ServingEngine::new(EngineConfig { replicas: 8, ..base(350.0) }).unwrap().run();
+        assert!(
+            eight.latency.p99_s < four.latency.p99_s,
+            "8 replicas p99 {} vs 4 replicas p99 {}",
+            eight.latency.p99_s,
+            four.latency.p99_s
+        );
     }
 
     #[test]

@@ -10,9 +10,10 @@
 //! * [`partition_l2`] — the per-replica cache share,
 //! * [`colocated_throughput`] — the steady-state images/cycle model behind
 //!   Fig. 12's throughput-area Pareto analysis,
-//! * [`engine::ServingEngine`] — the full discrete-event serving engine,
-//! * [`ServingSim`] — a thin compatibility facade over the engine for the
-//!   classic open-loop Poisson / least-loaded-dispatch study.
+//! * [`engine::ServingEngine`] — the discrete-event serving engine;
+//!   [`EngineConfig::basic`] is the classic open-loop Poisson /
+//!   least-loaded-dispatch study (one class, no batching, unbounded
+//!   queue).
 //!
 //! ## Engine architecture
 //!
@@ -53,11 +54,8 @@ pub mod batch;
 pub mod contention;
 pub mod engine;
 pub mod metrics;
-pub mod mixed;
 pub mod node;
 pub mod queue;
-
-use serde::{Deserialize, Serialize};
 
 pub use batch::BatchPolicy;
 pub use engine::{EngineConfig, EngineReport, RequestClass, ServingEngine};
@@ -134,84 +132,6 @@ pub fn colocated_throughput(replicas: usize, cycles_per_image: u64) -> f64 {
     replicas as f64 / cycles_per_image as f64
 }
 
-/// Configuration of the open-loop serving simulation.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-pub struct ServingConfig {
-    /// Number of model replicas (each on its own core/partition).
-    pub replicas: usize,
-    /// Service time per request in seconds (from simulated cycles / clock).
-    pub service_time_s: f64,
-    /// Mean arrival rate in requests/second (Poisson process).
-    pub arrival_rate: f64,
-    /// Number of requests to simulate.
-    pub requests: usize,
-    /// RNG seed.
-    pub seed: u64,
-}
-
-/// Latency/throughput report of a serving simulation.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ServingReport {
-    /// Offered load in requests/second.
-    pub offered_rps: f64,
-    /// Achieved throughput in requests/second (completions / makespan).
-    pub achieved_rps: f64,
-    /// Mean end-to-end latency (queueing + service) in seconds.
-    pub mean_latency_s: f64,
-    /// Median latency in seconds (nearest-rank).
-    pub p50_latency_s: f64,
-    /// 99th-percentile latency in seconds (nearest-rank).
-    pub p99_latency_s: f64,
-    /// Mean replica utilization in [0, 1].
-    pub utilization: f64,
-}
-
-/// Open-loop discrete-event serving simulation: Poisson arrivals are
-/// dispatched to the replica that frees up earliest (least-loaded /
-/// work-conserving), each replica serves one request at a time with a
-/// deterministic service time.
-///
-/// This is a compatibility facade over [`engine::ServingEngine`] with no
-/// batching, an unbounded queue, and homogeneous traffic; use the engine
-/// directly for backpressure, deadlines, batching, traffic mixes, and the
-/// full metrics surface.
-#[derive(Debug)]
-pub struct ServingSim {
-    engine: ServingEngine,
-}
-
-impl ServingSim {
-    /// Create a simulation. Returns a typed error on degenerate configs
-    /// (zero requests/replicas, non-positive rates or service times)
-    /// instead of panicking mid-run.
-    pub fn new(cfg: ServingConfig) -> Result<Self, ServingError> {
-        if !cfg.service_time_s.is_finite() || cfg.service_time_s <= 0.0 {
-            return Err(ServingError::InvalidServiceTime(cfg.service_time_s));
-        }
-        let engine = ServingEngine::new(EngineConfig::basic(
-            cfg.replicas,
-            cfg.service_time_s,
-            cfg.arrival_rate,
-            cfg.requests,
-            cfg.seed,
-        ))?;
-        Ok(Self { engine })
-    }
-
-    /// Run to completion and report.
-    pub fn run(&self) -> ServingReport {
-        let rep = self.engine.run();
-        ServingReport {
-            offered_rps: rep.offered_rps,
-            achieved_rps: rep.achieved_rps,
-            mean_latency_s: rep.latency.mean_s,
-            p50_latency_s: rep.latency.p50_s,
-            p99_latency_s: rep.latency.p99_s,
-            utilization: rep.utilization,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -231,67 +151,5 @@ mod tests {
         let t1 = colocated_throughput(1, 1_000_000);
         let t4 = colocated_throughput(4, 1_000_000);
         assert!((t4 / t1 - 4.0).abs() < 1e-12);
-    }
-
-    fn base_cfg() -> ServingConfig {
-        ServingConfig {
-            replicas: 4,
-            service_time_s: 0.010,
-            arrival_rate: 100.0,
-            requests: 20_000,
-            seed: 9,
-        }
-    }
-
-    #[test]
-    fn zero_requests_is_a_typed_error() {
-        let err = ServingSim::new(ServingConfig { requests: 0, ..base_cfg() }).unwrap_err();
-        assert_eq!(err, ServingError::NoRequests);
-        let err = ServingSim::new(ServingConfig { replicas: 0, ..base_cfg() }).unwrap_err();
-        assert_eq!(err, ServingError::NoReplicas);
-        let err = ServingSim::new(ServingConfig { service_time_s: 0.0, ..base_cfg() }).unwrap_err();
-        assert!(matches!(err, ServingError::InvalidServiceTime(_)));
-        let err = ServingSim::new(ServingConfig { arrival_rate: -1.0, ..base_cfg() }).unwrap_err();
-        assert!(matches!(err, ServingError::InvalidArrivalRate(_)));
-    }
-
-    #[test]
-    fn underloaded_system_has_low_latency() {
-        // 4 replicas x 100 img/s capacity each = 400 rps capacity; offer 100.
-        let rep = ServingSim::new(base_cfg()).unwrap().run();
-        assert!(rep.utilization < 0.5, "util {}", rep.utilization);
-        // Latency close to pure service time.
-        assert!(rep.p50_latency_s < 0.015);
-        assert!((rep.achieved_rps - 100.0).abs() / 100.0 < 0.05);
-    }
-
-    #[test]
-    fn saturated_system_caps_at_capacity() {
-        // Offer 10x capacity: achieved rps ~ 400, latency blows up.
-        let cfg = ServingConfig { arrival_rate: 4000.0, ..base_cfg() };
-        let rep = ServingSim::new(cfg).unwrap().run();
-        let capacity = 4.0 / 0.010;
-        assert!((rep.achieved_rps - capacity).abs() / capacity < 0.05, "rps {}", rep.achieved_rps);
-        assert!(rep.utilization > 0.95);
-        assert!(rep.p99_latency_s > rep.p50_latency_s * 0.9);
-        assert!(rep.mean_latency_s > 0.010);
-    }
-
-    #[test]
-    fn more_replicas_cut_queueing_latency() {
-        let slow =
-            ServingSim::new(ServingConfig { arrival_rate: 350.0, ..base_cfg() }).unwrap().run();
-        let fast =
-            ServingSim::new(ServingConfig { replicas: 8, arrival_rate: 350.0, ..base_cfg() })
-                .unwrap()
-                .run();
-        assert!(fast.p99_latency_s < slow.p99_latency_s);
-    }
-
-    #[test]
-    fn deterministic_given_seed() {
-        let a = ServingSim::new(base_cfg()).unwrap().run();
-        let b = ServingSim::new(base_cfg()).unwrap().run();
-        assert_eq!(a.p99_latency_s, b.p99_latency_s);
     }
 }

@@ -4,8 +4,7 @@
 //!
 //! All percentiles use the nearest-rank definition (`ceil(n·p)`-th order
 //! statistic), which never reports a value below the true percentile on
-//! small samples — unlike truncating the rank index, which biased the old
-//! `ServingSim` p99 low.
+//! small samples — unlike truncating the rank index, which biases p99 low.
 
 use serde::{Deserialize, Serialize};
 

@@ -6,14 +6,16 @@
 //! cargo run --release -p lvconv --example algorithm_selection [scale]
 //! ```
 
-use lvconv::bench::grid::{paper2_points, run_points};
+use lvconv::bench::plan::{paper2_plan, ExecOptions, Executor};
 use lvconv::bench::selector::{dataset_from_grid, evaluate_selector};
+use lvconv::bench::trace::TraceCtx;
 use lvconv::forest::ForestParams;
 
 fn main() {
     let scale: f64 = std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(0.12);
     eprintln!("simulating the co-design grid at scale {scale} (this takes ~a minute)...");
-    let rows = run_points(paper2_points(scale), false);
+    let exec = Executor::new(ExecOptions { no_cache: true, ..Default::default() });
+    let rows = exec.run(&paper2_plan(scale), &TraceCtx::disabled()).expect("uncached run").rows;
     let (ds, _) = dataset_from_grid(&rows);
     println!("dataset: {} labeled points, {} features\n", ds.len(), ds.n_features());
 

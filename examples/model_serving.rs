@@ -10,7 +10,7 @@
 use lvconv::area::chip_area_mm2;
 use lvconv::conv::ALL_ALGOS;
 use lvconv::models::{measure_layer, zoo};
-use lvconv::serving::{partition_l2, ServingConfig, ServingSim};
+use lvconv::serving::{partition_l2, EngineConfig, ServingEngine};
 use lvconv::sim::MachineConfig;
 
 fn main() {
@@ -47,22 +47,17 @@ fn main() {
             .sum();
         let service_s = cycles as f64 / 2e9;
         let capacity = replicas as f64 / service_s;
-        let sim = ServingSim::new(ServingConfig {
-            replicas,
-            service_time_s: service_s,
-            arrival_rate: 0.7 * capacity,
-            requests: 5000,
-            seed: 11,
-        })
-        .expect("serving config is valid by construction");
-        let rep = sim.run();
+        let rep =
+            ServingEngine::new(EngineConfig::basic(replicas, service_s, 0.7 * capacity, 5000, 11))
+                .expect("serving config is valid by construction")
+                .run();
         println!(
             "{:>8} {:>8}MB {:>9.2}ms {:>8.1}img/s {:>8.2}ms {:>9.0}% {:>7.1}mm2",
             replicas,
             part,
             service_s * 1e3,
             capacity,
-            rep.p99_latency_s * 1e3,
+            rep.latency.p99_s * 1e3,
             100.0 * rep.utilization,
             chip_area_mm2(replicas, vlen, shared_l2),
         );

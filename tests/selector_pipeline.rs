@@ -2,11 +2,12 @@
 //! train, cross-validate, and check that the predicted-optimal policy is
 //! close to the oracle — the machinery behind Figs. 9-12.
 
-use lvconv::bench::grid::{from_csv, paper2_points, policy_cycles, run_points, to_csv, SimPoint};
+use lvconv::bench::grid::policy_cycles;
+use lvconv::bench::plan::{ExecOptions, Executor, SweepPlan};
 use lvconv::bench::selector::{dataset_from_grid, evaluate_selector, predicted_cycles};
+use lvconv::bench::trace::TraceCtx;
 use lvconv::conv::{Algo, ALL_ALGOS};
 use lvconv::forest::ForestParams;
-use lvconv::sim::MachineConfig;
 use lvconv::tensor::ConvShape;
 
 /// A reduced grid: 6 distinctive layers x 8 hardware configs x 4 algos.
@@ -19,37 +20,15 @@ fn small_grid() -> Vec<lvconv::bench::grid::GridRow> {
         ConvShape::same_pad(64, 64, 6, 3, 1),  // skinny
         ConvShape::same_pad(8, 64, 12, 3, 1),  // wide oc
     ];
-    let mut pts = Vec::new();
-    for (i, s) in layers.iter().enumerate() {
-        for vlen in [512usize, 1024, 2048, 4096] {
-            for l2 in [1usize, 4] {
-                for algo in ALL_ALGOS {
-                    pts.push(SimPoint {
-                        model: "small".into(),
-                        layer: i + 1,
-                        shape: *s,
-                        cfg: MachineConfig::rvv_integrated(vlen, l2),
-                        algo,
-                    });
-                }
-            }
-        }
-    }
-    run_points(pts, false)
-}
-
-#[test]
-fn grid_csv_roundtrips_exactly() {
-    let rows = small_grid();
-    let text = to_csv(&rows);
-    let back = from_csv(&text).expect("parse");
-    assert_eq!(rows.len(), back.len());
-    for (a, b) in rows.iter().zip(&back) {
-        assert_eq!(a.cycles, b.cycles);
-        assert_eq!(a.shape, b.shape);
-        assert_eq!(a.algo, b.algo);
-        assert_eq!(a.vlen_bits, b.vlen_bits);
-    }
+    let plan = layers
+        .iter()
+        .enumerate()
+        .fold(SweepPlan::new("small"), |p, (i, s)| p.layer("small", i + 1, *s))
+        .vlens(&[512, 1024, 2048, 4096])
+        .l2s(&[1, 4])
+        .algos(&ALL_ALGOS);
+    let exec = Executor::new(ExecOptions { no_cache: true, ..Default::default() });
+    exec.run(&plan, &TraceCtx::disabled()).expect("uncached run").rows
 }
 
 #[test]
@@ -116,8 +95,6 @@ fn dataset_counts_match_grid() {
     let (ds, keys) = dataset_from_grid(&rows);
     assert_eq!(ds.len(), 6 * 4 * 2);
     assert_eq!(keys.len(), ds.len());
-    // Paper dataset analogue: 28 layers x 16 configs = 448 points.
-    assert_eq!(paper2_points(1.0).len(), 28 * 16 * 4);
 }
 
 #[test]

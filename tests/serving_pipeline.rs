@@ -7,12 +7,13 @@
 //! capacity ordering Optimal <= Predicted/Direct must come out the way
 //! Figs. 9/10 imply.
 
-use lvconv::bench::grid::{policy_cycles, run_points, SimPoint};
+use lvconv::bench::grid::policy_cycles;
+use lvconv::bench::plan::{ExecOptions, Executor, SweepPlan};
 use lvconv::bench::selector::{dataset_from_grid, features_of};
+use lvconv::bench::trace::TraceCtx;
 use lvconv::conv::{Algo, ALL_ALGOS};
 use lvconv::forest::{ForestParams, RandomForest};
 use lvconv::serving::{partition_l2, BatchPolicy, EngineConfig, RequestClass, ServingEngine};
-use lvconv::sim::MachineConfig;
 use lvconv::tensor::ConvShape;
 
 /// The serving config under test: 2 replicas of a 1024-bit core, 8 MiB
@@ -29,23 +30,15 @@ fn small_grid() -> Vec<lvconv::bench::grid::GridRow> {
         ConvShape::same_pad(64, 64, 6, 3, 1),
         ConvShape::same_pad(8, 64, 12, 3, 1),
     ];
-    let mut pts = Vec::new();
-    for (i, s) in layers.iter().enumerate() {
-        for vlen in [512usize, VLEN, 2048] {
-            for l2 in [1usize, 4] {
-                for algo in ALL_ALGOS {
-                    pts.push(SimPoint {
-                        model: "small".into(),
-                        layer: i + 1,
-                        shape: *s,
-                        cfg: MachineConfig::rvv_integrated(vlen, l2),
-                        algo,
-                    });
-                }
-            }
-        }
-    }
-    run_points(pts, false)
+    let plan = layers
+        .iter()
+        .enumerate()
+        .fold(SweepPlan::new("small"), |p, (i, s)| p.layer("small", i + 1, *s))
+        .vlens(&[512, VLEN, 2048])
+        .l2s(&[1, 4])
+        .algos(&ALL_ALGOS);
+    let exec = Executor::new(ExecOptions { no_cache: true, ..Default::default() });
+    exec.run(&plan, &TraceCtx::disabled()).expect("uncached run").rows
 }
 
 #[test]
