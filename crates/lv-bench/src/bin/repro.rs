@@ -16,10 +16,10 @@
 //! `--backend` selects the simulation tier: `cycle` (the cycle-accurate
 //! machine) or `fast` (the calibrated analytical model — see
 //! `repro calibrate`, which re-derives its error envelope and fails on
-//! drift). Without the flag each plan uses its own default: figures stay
-//! cycle-accurate, the coarse `dataset`/`selector`/`fleet` sweeps run
-//! fast. The two tiers are cached under disjoint, `FAST_MODEL_REV`-salted
-//! keys.
+//! drift). Without the flag each plan uses its own default: every figure
+//! and Paper II artifact stays cycle-accurate, and only the `fleet` and
+//! `chaos` chip menus run fast. The two tiers are cached under disjoint,
+//! `FAST_MODEL_REV`-salted keys.
 //!
 //! Every sweep-backed artifact runs through one shared
 //! [`lv_bench::plan::Executor`] with a persistent content-addressed cell

@@ -11,7 +11,8 @@ use std::path::PathBuf;
 use lv_fleet::FaultScenario;
 use lv_models::BackendKind;
 
-/// Every artifact id `figures::run_experiment_traced` accepts. `repro`
+/// Every artifact id `repro` accepts: `check` runs in the binary itself,
+/// every other id through `figures::run_experiment_traced`. `repro`
 /// prints this list when given an unknown id or flag.
 pub const ARTIFACTS: &[&str] = &[
     "table1",

@@ -1,7 +1,7 @@
 //! Figure/table generators: one function per paper artifact, each writing
 //! `results/<id>.txt` (human-readable report + ASCII chart) and where
-//! useful `results/<id>.csv`. `run_experiment` is the registry the `repro`
-//! binary dispatches on.
+//! useful `results/<id>.csv`. `run_experiment_traced` is the registry the
+//! `repro` binary dispatches on.
 
 use std::fmt::Write as _;
 
@@ -54,22 +54,16 @@ fn l2_plan(id: &str, model: Model, vlen: usize, scale: f64) -> SweepPlan {
     SweepPlan::new(id).layers(model).scale(scale).vlens(&[vlen]).l2s(&P2_L2S).algos(&ALL_ALGOS)
 }
 
-/// Dispatch an experiment by id with a fresh default executor, the
-/// default seed and no tracing (see `repro --help` text for ids).
-pub fn run_experiment(id: &str, scale: f64, force: bool) -> Result<(), BenchError> {
-    let exec = Executor::new(plan::ExecOptions { force, verbose: true, ..Default::default() });
-    run_experiment_traced(id, scale, &exec, &TraceCtx::disabled(), 42, None)
-}
-
-/// [`run_experiment`] against a shared executor and trace context: each
-/// artifact gets a wall-clock span on the harness track, every grid slice
-/// goes through the executor's cell cache (so `all` simulates each unique
-/// cell at most once), and `fig1`/`fig2`/`serve` run an extra traced
-/// workload when the context is recording. `seed` drives the stochastic
-/// artifacts (`serve`/`fleet`/`chaos` arrival and fault processes, the
-/// `check` sweep); grid cells are deterministic and ignore it. `faults`
+/// Dispatch an experiment by id against a shared executor and trace
+/// context: each artifact gets a wall-clock span on the harness track,
+/// every grid slice goes through the executor's cell cache (so `all`
+/// simulates each unique cell at most once), and `fig1`/`fig2`/`serve`
+/// run an extra traced workload when the context is recording. `seed`
+/// drives the stochastic artifacts (`serve`/`fleet`/`chaos` arrival and
+/// fault processes); grid cells are deterministic and ignore it. `faults`
 /// restricts the `chaos` sweep to one scenario (other artifacts ignore
-/// it).
+/// it). `check` is not dispatched here: `repro` runs it itself (see
+/// [`crate::check`]).
 pub fn run_experiment_traced(
     id: &str,
     scale: f64,
@@ -140,10 +134,6 @@ pub fn run_experiment_traced(
             }
             text
         }
-        // Default-config sweep; `repro check` accepts --seed/--deep and
-        // propagates the exit code (handled in the binary); the
-        // tier-aware variant (`--backend fast`) is dispatched there too.
-        "check" => crate::check::check_text(seed, false, lv_models::BackendKind::Cycle).0,
         "all" => {
             for e in [
                 "table1", "fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8",
@@ -1039,7 +1029,7 @@ fn p1_roofline(scale: f64) -> String {
 /// Ablation: Winograd tile size F(2,3) vs F(4,3) vs the paper's F(6,3) —
 /// cycles, average consumed VL and numerical error.
 fn ablation_tiles(scale: f64) -> String {
-    use lv_conv::winograd_small::{self, WinoPlan};
+    use lv_conv::winograd::{self, WinoPlan};
     use lv_sim::{Machine, MachineConfig};
     use lv_tensor::{conv2d_reference, max_rel_error, pseudo_buf, pseudo_weights};
     let s = table1_layers(scale)
@@ -1052,29 +1042,20 @@ fn ablation_tiles(scale: f64) -> String {
     let golden = conv2d_reference(&s, &input, &w);
     let mut trows = Vec::new();
     for vlen in [512usize, 2048, 4096] {
-        let mut run_plan = |name: &str, f: &dyn Fn(&mut Machine, &mut Vec<f32>)| {
+        for plan in [WinoPlan::F2X2, WinoPlan::F4X4, WinoPlan::F6X6] {
+            let w_t = winograd::transform_weights(&plan, &s, &w);
             let mut m = Machine::new(MachineConfig::rvv_integrated(vlen, 1));
             let mut out = vec![0.0f32; s.output_len()];
-            f(&mut m, &mut out);
+            winograd::run(&plan, &mut m, &s, &input, &w_t, &mut out);
             let st = m.stats();
             trows.push(vec![
                 format!("{vlen}b"),
-                name.to_string(),
+                format!("F({0}x{0},3x3)", plan.m),
                 st.cycles.to_string(),
                 format!("{:.1}", st.avg_vl()),
                 format!("{:.2e}", max_rel_error(&out, &golden)),
             ]);
-        };
-        let w2 = winograd_small::transform_weights(&WinoPlan::f2x2(), &s, &w);
-        run_plan("F(2x2,3x3)", &|m, out| {
-            winograd_small::run(&WinoPlan::f2x2(), m, &s, &input, &w2, out)
-        });
-        let w4 = winograd_small::transform_weights(&WinoPlan::f4x4(), &s, &w);
-        run_plan("F(4x4,3x3)", &|m, out| {
-            winograd_small::run(&WinoPlan::f4x4(), m, &s, &input, &w4, out)
-        });
-        let w6 = lv_conv::winograd::transform_weights(&s, &w);
-        run_plan("F(6x6,3x3)", &|m, out| lv_conv::winograd::run(m, &s, &input, &w6, out));
+        }
     }
     let mut out = format!(
         "ablation-tiles: Winograd tile-size ablation on VGG-16 layer 4 (scale {scale})\n\

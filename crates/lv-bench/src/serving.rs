@@ -118,7 +118,6 @@ fn run_policy(
         batch,
         batch_setup_frac: setup_frac,
         seed,
-        slice_s: 0.0,
     };
     ServingEngine::new(cfg).expect("sweep config is valid").run()
 }
@@ -319,7 +318,6 @@ pub fn serve_report(rows: &[GridRow], ctx: &TraceCtx, seed: u64) -> Result<Strin
             batch: BatchPolicy::new(4, mean(|s| s.optimal_s)),
             batch_setup_frac: setup_frac,
             seed: seed.wrapping_add(7),
-            slice_s: 0.0,
         };
         ServingEngine::new(cfg)
             .expect("traced config is valid")

@@ -3,77 +3,40 @@
 //! with the cycle-accurate tier on algorithm rankings, over the same
 //! structured shape grid that `lv-check` uses for kernel conformance.
 //!
-//! This is the test the ISSUE's acceptance criteria hang off: if the
-//! fast model or the machine's timing changes, either the predictions
-//! stay inside the stored per-regime bound or this fails — the committed
-//! table must then be regenerated with `repro calibrate`.
+//! The sweep is `lv_check::run_tier_check`, the one behind
+//! `repro check --backend fast`. If the fast model or the machine's
+//! timing changes, either the predictions stay inside the stored
+//! per-regime bound or this fails — the committed table must then be
+//! regenerated with `repro calibrate`.
 
-use lv_check::diff::{machine_points, structured_grid};
-use lv_conv::ALL_ALGOS;
-use lv_models::calib;
-use lv_models::BackendKind;
-
-/// The calibration grid's structured shapes are a verbatim copy of the
-/// lv-check conformance grid (so the two harnesses anchor the same
-/// cells); fail loudly if they drift apart.
-#[test]
-fn calibration_shapes_track_the_conformance_grid() {
-    let check = structured_grid(false);
-    let calib = calib::structured_shapes();
-    assert_eq!(
-        check, calib,
-        "lv_models::calib::structured_shapes() must mirror lv_check::diff::structured_grid(false)"
-    );
-}
+use lv_check::{run_tier_check, CheckConfig};
 
 /// Every fast-tier prediction on the conformance grid is inside its
 /// regime's committed error bound, and the argmin-algorithm ranking
 /// agrees with the cycle tier on >= 95% of (machine, shape) groups.
+/// (`run_tier_check` itself panics if the tiers disagree on which
+/// algorithms apply to a cell.)
 #[test]
 fn fast_tier_stays_inside_the_calibrated_envelope() {
-    let cycle = BackendKind::Cycle.backend();
-    let fast = BackendKind::Fast.backend();
-    let mut violations = Vec::new();
-    let mut groups = 0usize;
-    let mut agree = 0usize;
-    for s in structured_grid(false) {
-        for (mname, cfg) in machine_points(false) {
-            let mut cells: Vec<(&str, u64, u64)> = Vec::new();
-            for &algo in &ALL_ALGOS {
-                let Some(c) = cycle.measure(&cfg, &s, algo) else {
-                    assert!(
-                        fast.measure(&cfg, &s, algo).is_none(),
-                        "tiers disagree on applicability: {algo:?} {s:?}"
-                    );
-                    continue;
-                };
-                let f = fast.measure(&cfg, &s, algo).expect("tiers must agree on applicability");
-                let rel = f.cycles as f64 / c.cycles.max(1) as f64 - 1.0;
-                let bound = calib::stored_for(algo, cfg.vpu).bound;
-                if rel.abs() > bound {
-                    violations.push(format!(
-                        "{mname} {s:?} {}: rel {rel:+.3} outside bound {bound:.3}",
-                        algo.name()
-                    ));
-                }
-                cells.push((algo.name(), c.cycles, f.cycles));
-            }
-            if cells.len() >= 2 {
-                groups += 1;
-                let cyc_best = cells.iter().map(|&(_, c, _)| c).min().expect("non-empty");
-                let pick = cells.iter().min_by_key(|&&(_, _, f)| f).expect("non-empty");
-                if calib::ranking_agrees(pick.1, cyc_best) {
-                    agree += 1;
-                }
-            }
-        }
-    }
+    let report = run_tier_check(&CheckConfig::default());
+    let violations: Vec<String> = report
+        .cells
+        .iter()
+        .filter(|c| !c.pass())
+        .map(|c| {
+            format!(
+                "{} {} {}: rel {:+.3} outside bound {:.3}",
+                c.machine, c.shape, c.algo, c.rel, c.bound
+            )
+        })
+        .collect();
     assert!(
-        violations.is_empty(),
+        report.pass(),
         "{} fast-tier predictions outside the committed envelope:\n{}",
         violations.len(),
         violations.join("\n")
     );
+    let (agree, groups) = (report.rank_agree, report.rank_groups);
     let ratio = agree as f64 / groups.max(1) as f64;
     assert!(
         ratio >= 0.95,

@@ -10,8 +10,8 @@
 //! * im2col + 6-loop GEMM under three [`Gemm6Blocking`] choices — the
 //!   paper's blocking plus two deliberately awkward ones that force
 //!   remainder panels in every loop,
-//! * Winograd F(6x6, 3x3) (production kernel) where applicable,
-//! * Winograd F(2x2) / F(4x4) (ablation kernels) where applicable,
+//! * Winograd where applicable, under the paper's F(6x6, 3x3) plan and
+//!   the F(2x2) / F(4x4) plans of the tile-size ablation,
 //!
 //! and separately the depthwise kernel over its own shape list. Every
 //! machine runs with the [`lv_sim`] invariant lint enabled, so a
@@ -20,8 +20,11 @@
 
 use lv_conv::{
     depthwise::{run_depthwise, DepthwiseShape},
-    direct, gemm3, gemm6, winograd, winograd_small, Algo, DirectVariant, Gemm6Blocking,
+    direct, gemm3, gemm6,
+    winograd::{self, WinoPlan},
+    Algo, DirectVariant, Gemm6Blocking,
 };
+use lv_models::calib;
 use lv_sim::{Machine, MachineConfig};
 use lv_tensor::{pseudo_buf, ConvShape};
 use proptest::TestRng;
@@ -146,43 +149,21 @@ pub fn shape_label(s: &ConvShape) -> String {
     format!("ic{}x{}x{}->oc{} k{}x{} s{} p{}", s.ic, s.ih, s.iw, s.oc, s.kh, s.kw, s.stride, s.pad)
 }
 
-/// The structured shape grid: blocking-boundary channel counts, ragged
-/// tile edges, 1xN / Nx1 geometries, non-square kernels and images,
-/// strides 1..3 and pad 0..2.
+/// The structured shape grid: [`calib::structured_shapes`] (blocking
+/// boundaries, ragged tile edges, 1xN / Nx1, non-square kernels and
+/// images, strides 1..3, pad 0..2), which also anchors the fast tier's
+/// calibration. Deep mode swaps the last shape, a cheap stand-in, for the
+/// real IC_BLOCK tail and adds an even kernel.
 pub fn structured_grid(deep: bool) -> Vec<ConvShape> {
-    let mut g = vec![
-        // Plain small layer, all algorithms applicable.
-        ConvShape::same_pad(3, 5, 12, 3, 1),
-        // Single channel in and out.
-        ConvShape::same_pad(1, 1, 9, 3, 1),
-        // Ragged winograd tile edge (14 = 2*6 + 2).
-        ConvShape::same_pad(17, 9, 14, 3, 1),
-        // oc not a multiple of any unroll (33 = 2*16 + 1, 4*8 + 1).
-        ConvShape::same_pad(8, 33, 10, 3, 1),
-        // Strided 3x3.
-        ConvShape::same_pad(4, 6, 12, 3, 2),
-        // 1x1 kernel (pointwise).
-        ConvShape::same_pad(5, 8, 11, 1, 1),
-        // 1xN geometry: height-1 image, 1x3 kernel.
-        ConvShape { ic: 3, ih: 1, iw: 16, oc: 4, kh: 1, kw: 3, stride: 1, pad: 1 },
-        // Nx1 mirror.
-        ConvShape { ic: 3, ih: 16, iw: 1, oc: 4, kh: 3, kw: 1, stride: 1, pad: 1 },
-        // No padding, non-square image.
-        ConvShape { ic: 2, ih: 9, iw: 13, oc: 3, kh: 3, kw: 3, stride: 1, pad: 0 },
-        // Non-square kernel, stride 2, fat padding.
-        ConvShape { ic: 4, ih: 10, iw: 7, oc: 6, kh: 5, kw: 3, stride: 2, pad: 2 },
-        // Stride 3.
-        ConvShape { ic: 2, ih: 6, iw: 6, oc: 2, kh: 3, kw: 3, stride: 3, pad: 1 },
-    ];
+    let mut g = calib::structured_shapes();
     if deep {
-        // IC_BLOCK tail in the winograd tuple stage (66 = 64 + 2) — the
-        // most expensive grid shape, deep mode only.
+        // The last shape is a cheap stand-in for this one: the IC_BLOCK
+        // tail in the winograd tuple stage (66 = 64 + 2), the most
+        // expensive grid shape, deep mode only.
+        g.pop();
         g.push(ConvShape::same_pad(66, 7, 12, 3, 1));
         // Even kernel.
         g.push(ConvShape { ic: 3, ih: 8, iw: 8, oc: 4, kh: 2, kw: 2, stride: 2, pad: 0 });
-    } else {
-        // Cheaper IC_BLOCK-adjacent stand-in for the default sweep.
-        g.push(ConvShape::same_pad(36, 5, 8, 3, 1));
     }
     g
 }
@@ -298,38 +279,17 @@ pub fn check_conv_shape(
         ("gemm6/8x64x32", Gemm6Blocking::new(8, 64, 32)),
         ("gemm6/5x33x7", Gemm6Blocking::new(5, 33, 7)),
     ];
-    let wino = s.winograd_applicable();
-    let w_f6 = wino.then(|| winograd::transform_weights(s, &weights));
-    let plans = [winograd_small::WinoPlan::f2x2(), winograd_small::WinoPlan::f4x4()];
-    let w_small: Vec<_> = plans
-        .iter()
-        .map(|p| wino.then(|| winograd_small::transform_weights(p, s, &weights)))
-        .collect();
-    let wino_bounds = wino.then(|| {
-        tolerance::winograd_bounds(
-            &tolerance::matrix_f64(&winograd::BT),
-            &tolerance::matrix_f64(&winograd::G),
-            &tolerance::matrix_f64(&winograd::AT8),
-            winograd::TILE_OUT,
-            s,
-            &input,
-            &weights,
-        )
-    });
-    let small_bounds: Vec<_> = plans
+    // Every Winograd plan in row order, with its weights and bounds.
+    let plans: &[WinoPlan] = if s.winograd_applicable() {
+        &[WinoPlan::F6X6, WinoPlan::F2X2, WinoPlan::F4X4]
+    } else {
+        &[]
+    };
+    let wino: Vec<_> = plans
         .iter()
         .map(|p| {
-            wino.then(|| {
-                tolerance::winograd_bounds(
-                    &tolerance::matrix_f64(&p.bt),
-                    &tolerance::matrix_f64(&p.g),
-                    &tolerance::matrix_f64(&p.at),
-                    p.m,
-                    s,
-                    &input,
-                    &weights,
-                )
-            })
+            let w_t = winograd::transform_weights(p, s, &weights);
+            (p, w_t, tolerance::winograd_bounds(p, s, &input, &weights))
         })
         .collect();
 
@@ -360,16 +320,9 @@ pub fn check_conv_shape(
         for (kname, blk) in &gemm6_blockings {
             run(kname, &exact_bounds, &mut |m, out| gemm6::run(m, s, &input, &weights, out, blk));
         }
-        if wino {
-            let wb = wino_bounds.as_ref().unwrap();
-            let wt = w_f6.as_ref().unwrap();
-            run("wino/f6", wb, &mut |m, out| winograd::run(m, s, &input, wt, out));
-            for (i, plan) in plans.iter().enumerate() {
-                let pb = small_bounds[i].as_ref().unwrap();
-                let pw = w_small[i].as_ref().unwrap();
-                let kname = if plan.m == 2 { "wino/f2" } else { "wino/f4" };
-                run(kname, pb, &mut |m, out| winograd_small::run(plan, m, s, &input, pw, out));
-            }
+        for (plan, w_t, bounds) in &wino {
+            let kname = format!("wino/f{}", plan.m);
+            run(&kname, bounds, &mut |m, out| winograd::run(plan, m, s, &input, w_t, out));
         }
     }
     cells

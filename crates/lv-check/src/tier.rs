@@ -111,7 +111,8 @@ impl TierReport {
 }
 
 /// Run the cross-tier sweep: structured grid x machine points x every
-/// applicable algorithm, both tiers per cell. (The fuzz half of the
+/// applicable algorithm, both tiers per cell. Panics if the tiers
+/// disagree on which algorithms apply to a cell. (The fuzz half of the
 /// conformance sweep is left to `tests/` proptest coverage — tier cells
 /// cost a cycle-accurate simulation each, and the seeded grid is what
 /// the calibration envelope is defined over.)
@@ -127,8 +128,11 @@ pub fn run_tier_check(cfg: &CheckConfig) -> TierReport {
             let mut group: Vec<&TierCell> = Vec::new();
             let start = cells.len();
             for &algo in &ALL_ALGOS {
-                let Some(c) = cycle.measure(mcfg, &s, algo) else { continue };
-                let f = fast.measure(mcfg, &s, algo).expect("tiers must agree on applicability");
+                let (c, f) = match (cycle.measure(mcfg, &s, algo), fast.measure(mcfg, &s, algo)) {
+                    (Some(c), Some(f)) => (c, f),
+                    (None, None) => continue,
+                    _ => panic!("tiers disagree on applicability: {algo:?} {s:?}"),
+                };
                 let rel = f.cycles as f64 / c.cycles.max(1) as f64 - 1.0;
                 cells.push(TierCell {
                     machine: mname.clone(),

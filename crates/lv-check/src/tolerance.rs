@@ -29,6 +29,7 @@
 //! result scales with accumulation depth (`ic`) and with the actual data
 //! magnitudes, and is asserted as-is: no empirical fudge factor.
 
+use lv_conv::winograd::WinoPlan;
 use lv_tensor::ConvShape;
 
 use crate::oracle::ConvOracle;
@@ -59,22 +60,18 @@ pub fn depthwise_bounds(k: usize, oracle: &ConvOracle) -> Vec<f64> {
     oracle.absacc.iter().map(|a| g * a).collect()
 }
 
-/// Derived per-element tolerances for a Winograd F(m x m, 3x3) plan with
-/// `Bᵀ` (`t x t`), `G` (`t x 3`) and `Aᵀ` (`t x t`, valid rows `0..m`)
-/// transform matrices, computed by the absolute-value pipeline described
-/// in the module docs. NCHW `input`, OIHW `weights` (untransformed).
-pub fn winograd_bounds(
-    bt: &[Vec<f64>],
-    g: &[Vec<f64>],
-    at: &[Vec<f64>],
-    tile_m: usize,
-    s: &ConvShape,
-    input: &[f32],
-    weights: &[f32],
-) -> Vec<f64> {
+/// Derived per-element tolerances for a Winograd F(m x m, 3x3) `plan`,
+/// computed by the absolute-value pipeline described in the module docs
+/// over the plan's `Bᵀ`, `G` and `Aᵀ` (in f64). NCHW `input`, OIHW
+/// `weights` (untransformed).
+pub fn winograd_bounds(plan: &WinoPlan, s: &ConvShape, input: &[f32], weights: &[f32]) -> Vec<f64> {
     assert!(s.winograd_applicable());
-    let t = bt.len();
+    let (t, tile_m) = (plan.t, plan.m);
     assert_eq!(tile_m + 2, t, "input tile must be m + 2 for r = 3");
+    assert!(t <= 8, "Winograd tiles are at most 8x8");
+    let bt = plan.bt.map(|r| r.map(|x| (x as f64).abs()));
+    let g = plan.g.map(|r| r.map(|x| (x as f64).abs()));
+    let at = plan.at.map(|r| r.map(|x| (x as f64).abs()));
     let (oh, ow) = (s.oh(), s.ow());
     let tiles_y = oh.div_ceil(tile_m);
     let tiles_x = ow.div_ceil(tile_m);
@@ -87,13 +84,13 @@ pub fn winograd_bounds(
             let g0 = &weights[((oc * s.ic + ic) * 3) * 3..((oc * s.ic + ic) * 3 + 3) * 3];
             for i in 0..t {
                 for j in 0..3 {
-                    gg[i][j] = (0..3).map(|k| g[i][k].abs() * (g0[k * 3 + j] as f64).abs()).sum();
+                    gg[i][j] = (0..3).map(|k| g[i][k] * (g0[k * 3 + j] as f64).abs()).sum();
                 }
             }
             let base = (oc * s.ic + ic) * t * t;
             for i in 0..t {
                 for j in 0..t {
-                    uabs[base + i * t + j] = (0..3).map(|k| gg[i][k] * g[j][k].abs()).sum::<f64>();
+                    uabs[base + i * t + j] = (0..3).map(|k| gg[i][k] * g[j][k]).sum::<f64>();
                 }
             }
         }
@@ -136,12 +133,12 @@ pub fn winograd_bounds(
                     // |V| = |Bᵀ| |d| |B|.
                     for i in 0..t {
                         for j in 0..t {
-                            tmp[i][j] = (0..t).map(|k| bt[i][k].abs() * dabs[k][j]).sum();
+                            tmp[i][j] = (0..t).map(|k| bt[i][k] * dabs[k][j]).sum();
                         }
                     }
                     for i in 0..t {
                         for j in 0..t {
-                            vabs[i][j] = (0..t).map(|k| tmp[i][k] * bt[j][k].abs()).sum();
+                            vabs[i][j] = (0..t).map(|k| tmp[i][k] * bt[j][k]).sum();
                         }
                     }
                     let base = (oc * s.ic + ic) * t * t;
@@ -158,11 +155,11 @@ pub fn winograd_bounds(
                     for c in 0..cols {
                         let mut acc = 0.0f64;
                         for k in 0..t {
-                            let a = at[r][k].abs();
+                            let a = at[r][k];
                             if a == 0.0 {
                                 continue;
                             }
-                            acc += a * (0..t).map(|l| mabs[k][l] * at[c][l].abs()).sum::<f64>();
+                            acc += a * (0..t).map(|l| mabs[k][l] * at[c][l]).sum::<f64>();
                         }
                         let o = (oc * oh + ty * tile_m + r) * ow + tx * tile_m + c;
                         bounds[o] = gam * acc;
@@ -172,11 +169,6 @@ pub fn winograd_bounds(
         }
     }
     bounds
-}
-
-/// Convert an f32 transform matrix (rows of equal length) to f64.
-pub fn matrix_f64(rows: &[impl AsRef<[f32]>]) -> Vec<Vec<f64>> {
-    rows.iter().map(|r| r.as_ref().iter().map(|&x| x as f64).collect()).collect()
 }
 
 /// One element that exceeded its tolerance.

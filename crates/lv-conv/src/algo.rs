@@ -7,7 +7,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::direct::{self, DirectVariant};
 use crate::gemm6::Gemm6Blocking;
-use crate::winograd;
+use crate::winograd::{self, WinoPlan};
 use crate::{gemm3, gemm6};
 
 /// The convolutional algorithms compared in the paper (Paper II §3.2).
@@ -94,8 +94,8 @@ pub struct PreparedWeights {
     pub shape: ConvShape,
     /// `Gemm3`/`Gemm6`: OIHW row-major (the GEMM `A` matrix, M x K).
     /// `Direct`: HWIO (`[kh][kw][ic][oc]`).
-    /// `Winograd`: transformed tuples `[oc][ic][64]` (stored transposed,
-    /// see `winograd.rs`).
+    /// `Winograd`: [`WinoPlan::F6X6`] tuples `[oc][ic][64]` (stored
+    /// transposed, see `winograd.rs`).
     pub data: AlignedVec,
 }
 
@@ -108,7 +108,7 @@ impl PreparedWeights {
             Algo::Gemm3 | Algo::Gemm6 | Algo::Direct => s.weight_len(),
             Algo::Winograd => {
                 assert!(algo.applicable(s), "Winograd prepared for a non-3x3/s1 layer");
-                winograd::transformed_len(s)
+                winograd::transformed_len(&WinoPlan::F6X6, s)
             }
         };
         PreparedWeights { algo, shape: *s, data: AlignedVec::zeroed(len) }
@@ -136,7 +136,7 @@ pub fn prepare_weights(algo: Algo, s: &ConvShape, w_oihw: &[f32]) -> PreparedWei
         }
         Algo::Winograd => {
             assert!(algo.applicable(s), "Winograd prepared for a non-3x3/s1 layer");
-            winograd::transform_weights(s, w_oihw)
+            winograd::transform_weights(&WinoPlan::F6X6, s, w_oihw)
         }
     };
     PreparedWeights { algo, shape: *s, data }
@@ -163,7 +163,7 @@ pub fn run_conv(
         Algo::Direct => direct::run(m, s, input, &weights.data, output, DirectVariant::Optimized),
         Algo::Gemm3 => gemm3::run(m, s, input, &weights.data, output),
         Algo::Gemm6 => gemm6::run(m, s, input, &weights.data, output, &Gemm6Blocking::paper()),
-        Algo::Winograd => winograd::run(m, s, input, &weights.data, output),
+        Algo::Winograd => winograd::run(&WinoPlan::F6X6, m, s, input, &weights.data, output),
     }
     m.region_end();
 }

@@ -11,7 +11,9 @@
 //! * [`Algo::Gemm3`] / [`Algo::Gemm6`] — im2col lowering + the optimized
 //!   3-loop and BLIS-like 6-loop GEMM kernels,
 //! * [`Algo::Winograd`] — F(6x6, 3x3) with inter-tile parallelism across
-//!   channels.
+//!   channels. [`winograd`] is one kernel for every tile size: the
+//!   F(4x4, 3x3) and F(2x2, 3x3) plans of the tile-size ablation run the
+//!   same code.
 //!
 //! ```
 //! use lv_conv::{prepare_weights, run_conv, Algo};
@@ -39,7 +41,6 @@ pub mod gemm6;
 pub mod im2col;
 pub mod model;
 pub mod winograd;
-pub mod winograd_small;
 
 pub use algo::{prepare_weights, run_conv, run_conv_batch, Algo, PreparedWeights, ALL_ALGOS};
 pub use direct::DirectVariant;

@@ -1,15 +1,16 @@
-//! Property tests for the lowering and small-tile Winograd kernels.
+//! Property tests for the lowering and Winograd kernels.
 //!
 //! * im2col round-trip: the vectorized `lower` (pad + im2col) is a pure
 //!   data-movement kernel, so its column matrix must equal the f64 direct
 //!   gather **bit for bit** over randomly drawn shapes — any arithmetic
 //!   sneaking into the lowering path is a bug, not a rounding difference.
-//! * `winograd_small`: F(2x2) and F(4x4) must stay inside the derived
-//!   Higham-style tolerance from `lv-check` (no fudge factor) against the
-//!   f64 oracle over randomly drawn Winograd-applicable shapes.
+//! * `winograd`: every plan — F(2x2), F(4x4) and the paper's F(6x6) — must
+//!   stay inside the derived Higham-style tolerance from `lv-check` (no
+//!   fudge factor) against the f64 oracle over randomly drawn
+//!   Winograd-applicable shapes.
 
 use lv_check::tolerance;
-use lv_conv::winograd_small::{self, WinoPlan};
+use lv_conv::winograd::{self, WinoPlan};
 use lv_sim::{Machine, MachineConfig};
 use lv_tensor::{pseudo_buf, ConvShape};
 use proptest::TestRng;
@@ -65,20 +66,12 @@ fn check_winograd_plan(plan: &WinoPlan, seed: u64, cases: u64) {
         let weights = pseudo_buf(s.weight_len(), 4 + 2 * case);
         let mut m = Machine::new(MachineConfig::rvv_integrated(1024, 1));
         m.enable_lint();
-        let w_t = winograd_small::transform_weights(plan, &s, &weights);
+        let w_t = winograd::transform_weights(plan, &s, &weights);
         let mut out = lv_tensor::AlignedVec::zeroed(s.output_len());
-        winograd_small::run(plan, &mut m, &s, &input, &w_t, &mut out);
+        winograd::run(plan, &mut m, &s, &input, &w_t, &mut out);
 
         let orc = lv_check::conv2d_f64(&s, &input, &weights);
-        let bounds = tolerance::winograd_bounds(
-            &tolerance::matrix_f64(&plan.bt),
-            &tolerance::matrix_f64(&plan.g),
-            &tolerance::matrix_f64(&plan.at),
-            plan.m,
-            &s,
-            &input,
-            &weights,
-        );
+        let bounds = tolerance::winograd_bounds(plan, &s, &input, &weights);
         let cmp = tolerance::compare(&out, &orc.out, &bounds);
         assert!(
             cmp.pass(),
@@ -93,10 +86,15 @@ fn check_winograd_plan(plan: &WinoPlan, seed: u64, cases: u64) {
 
 #[test]
 fn winograd_f2x2_stays_inside_derived_tolerance() {
-    check_winograd_plan(&WinoPlan::f2x2(), 0xf2f2, 24);
+    check_winograd_plan(&WinoPlan::F2X2, 0xf2f2, 24);
 }
 
 #[test]
 fn winograd_f4x4_stays_inside_derived_tolerance() {
-    check_winograd_plan(&WinoPlan::f4x4(), 0xf4f4, 24);
+    check_winograd_plan(&WinoPlan::F4X4, 0xf4f4, 24);
+}
+
+#[test]
+fn winograd_f6x6_stays_inside_derived_tolerance() {
+    check_winograd_plan(&WinoPlan::F6X6, 0xf6f6, 24);
 }

@@ -7,7 +7,7 @@
 //! simulator invariant lint enabled.
 
 use lv_check::tolerance::{self, EPS32};
-use lv_conv::{winograd, Algo, ALL_ALGOS};
+use lv_conv::{winograd::WinoPlan, Algo, ALL_ALGOS};
 use lv_models::{
     generate_weights, network_input, run_network_captured, zoo, Activation, LayerKind, Model,
 };
@@ -26,15 +26,7 @@ fn layer_bounds(
     pre_abs: &[f64],
 ) -> Vec<f64> {
     let conv_bounds = if algo == Algo::Winograd {
-        tolerance::winograd_bounds(
-            &tolerance::matrix_f64(&winograd::BT),
-            &tolerance::matrix_f64(&winograd::G),
-            &tolerance::matrix_f64(&winograd::AT8),
-            winograd::TILE_OUT,
-            shape,
-            prev,
-            w,
-        )
+        tolerance::winograd_bounds(&WinoPlan::F6X6, shape, prev, w)
     } else {
         tolerance::exact_algo_bounds(shape, orc)
     };

@@ -72,9 +72,6 @@ pub struct EngineConfig {
     pub batch_setup_frac: f64,
     /// RNG seed (the simulation is deterministic given the seed).
     pub seed: u64,
-    /// Time-series slice width in seconds; `<= 0` picks one automatically
-    /// (~1/20 of the expected run length).
-    pub slice_s: f64,
 }
 
 impl EngineConfig {
@@ -96,7 +93,6 @@ impl EngineConfig {
             batch: BatchPolicy::none(),
             batch_setup_frac: 0.0,
             seed,
-            slice_s: 0.0,
         }
     }
 
@@ -227,14 +223,11 @@ impl ServingEngine {
         let mut rng = StdRng::seed_from_u64(c.seed);
         let total_weight: f64 = c.classes.iter().map(|cl| cl.weight).sum();
 
-        let slice_s = if c.slice_s > 0.0 {
-            c.slice_s
-        } else {
-            (c.requests as f64 / c.arrival_rate / 20.0).max(1e-6)
-        };
+        // Time-series slices of ~1/20 of the expected run length.
+        let width_s = (c.requests as f64 / c.arrival_rate / 20.0).max(1e-6);
 
         let mut node = EngineNode::new(self.cfg.node_config()).expect("validated at construction");
-        let mut series = SeriesRecorder::new(slice_s);
+        let mut series = SeriesRecorder::new(width_s);
         let mut last_arrival = 0.0f64;
 
         // Map node events (sheds, batch launches) to trace emissions and

@@ -72,12 +72,6 @@ impl LatencyHistogram {
         self.samples.extend_from_slice(&other.samples);
     }
 
-    /// Number of samples at or below `bound_s` — SLO attainment counting
-    /// (a request exactly on the SLO meets it).
-    pub fn count_within(&self, bound_s: f64) -> usize {
-        self.samples.iter().filter(|&&s| s <= bound_s).count()
-    }
-
     /// Summarise. Zero samples yield an all-zero summary instead of
     /// panicking (an overloaded run can drop every request).
     pub fn summary(&self) -> LatencySummary {
@@ -164,7 +158,7 @@ pub struct SliceStat {
 /// records queue-depth transitions (integrated time-weighted per slice).
 #[derive(Debug, Clone)]
 pub struct SeriesRecorder {
-    slice_s: f64,
+    width_s: f64,
     busy: Vec<f64>,     // busy replica-seconds per slice
     depth_dt: Vec<f64>, // integral of queue depth over time per slice
     last_depth_t: f64,
@@ -174,10 +168,10 @@ pub struct SeriesRecorder {
 
 impl SeriesRecorder {
     /// New recorder with the given slice width (seconds).
-    pub fn new(slice_s: f64) -> Self {
-        assert!(slice_s > 0.0, "slice width must be positive");
+    pub fn new(width_s: f64) -> Self {
+        assert!(width_s > 0.0, "slice width must be positive");
         Self {
-            slice_s,
+            width_s,
             busy: Vec::new(),
             depth_dt: Vec::new(),
             last_depth_t: 0.0,
@@ -187,7 +181,7 @@ impl SeriesRecorder {
     }
 
     fn slice_of(&self, t: f64) -> usize {
-        (t / self.slice_s) as usize
+        (t / self.width_s) as usize
     }
 
     fn ensure(&mut self, idx: usize) {
@@ -201,12 +195,12 @@ impl SeriesRecorder {
     /// Index-stepped rather than time-stepped: advancing a float clock to
     /// each slice boundary can stall when rounding makes the boundary
     /// land at or below the current time.
-    fn spread(slice_s: f64, acc: &mut [f64], t0: f64, t1: f64, weight: f64) {
-        let i0 = (t0 / slice_s) as usize;
-        let i1 = ((t1 / slice_s) as usize).min(acc.len().saturating_sub(1));
+    fn spread(width_s: f64, acc: &mut [f64], t0: f64, t1: f64, weight: f64) {
+        let i0 = (t0 / width_s) as usize;
+        let i1 = ((t1 / width_s) as usize).min(acc.len().saturating_sub(1));
         for (idx, slot) in acc.iter_mut().enumerate().take(i1 + 1).skip(i0) {
-            let lo = idx as f64 * slice_s;
-            let hi = lo + slice_s;
+            let lo = idx as f64 * width_s;
+            let hi = lo + width_s;
             let seg = (t1.min(hi) - t0.max(lo)).max(0.0);
             *slot += seg * weight;
         }
@@ -219,7 +213,7 @@ impl SeriesRecorder {
         }
         let last = self.slice_of(end_s);
         self.ensure(last);
-        Self::spread(self.slice_s, &mut self.busy, start_s, end_s, 1.0);
+        Self::spread(self.width_s, &mut self.busy, start_s, end_s, 1.0);
     }
 
     /// Record that the queue depth became `depth` at time `t`.
@@ -228,7 +222,7 @@ impl SeriesRecorder {
             let last = self.slice_of(t_s);
             self.ensure(last);
             Self::spread(
-                self.slice_s,
+                self.width_s,
                 &mut self.depth_dt,
                 self.last_depth_t,
                 t_s,
@@ -253,7 +247,7 @@ impl SeriesRecorder {
         self.ensure(n);
         (0..=n)
             .map(|i| {
-                let width = self.slice_s;
+                let width = self.width_s;
                 SliceStat {
                     t_start_s: i as f64 * width,
                     utilization: (self.busy[i] / (width * replicas as f64)).min(1.0),

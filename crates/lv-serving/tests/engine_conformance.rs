@@ -23,7 +23,6 @@ fn stress_config(seed: u64) -> EngineConfig {
         batch: BatchPolicy::new(4, 0.004),
         batch_setup_frac: 0.3,
         seed,
-        slice_s: 0.0,
     }
 }
 
@@ -122,7 +121,6 @@ fn unloaded_engine_batches_singly_and_drops_nothing() {
         batch: BatchPolicy::new(8, 0.001),
         batch_setup_frac: 0.2,
         seed: 5,
-        slice_s: 0.0,
     };
     let report = ServingEngine::new(cfg).unwrap().run();
     assert_eq!(report.completed, 200);

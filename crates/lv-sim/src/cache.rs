@@ -99,15 +99,6 @@ impl Cache {
         self.misses
     }
 
-    /// Miss rate in [0, 1]; 0 when the cache was never accessed.
-    pub fn miss_rate(&self) -> f64 {
-        if self.accesses == 0 {
-            0.0
-        } else {
-            self.misses as f64 / self.accesses as f64
-        }
-    }
-
     /// Forget all contents and counters.
     pub fn reset(&mut self) {
         self.tags.fill(0);

@@ -164,11 +164,6 @@ impl MachineConfig {
         (2 * self.lanes).max(1)
     }
 
-    /// Convert a cycle count to seconds at the configured clock.
-    pub fn cycles_to_seconds(&self, cycles: u64) -> f64 {
-        cycles as f64 / (self.freq_ghz * 1e9)
-    }
-
     /// Peak DRAM bandwidth in bytes/cycle: the 12.8 GiB/s channel the
     /// `mem_line` cost is calibrated against (see [`CostModel::mem_line`]),
     /// divided by the configured clock. Basis for the bandwidth-utilisation

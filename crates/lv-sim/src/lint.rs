@@ -51,11 +51,6 @@ impl LintState {
         self.checks
     }
 
-    /// Lanes of `r` known to hold kernel-written data.
-    pub fn valid_lanes(&self, r: u8) -> usize {
-        self.valid[r as usize]
-    }
-
     pub(crate) fn on_write(&mut self, r: u8, vl: usize) {
         let v = &mut self.valid[r as usize];
         *v = (*v).max(vl);

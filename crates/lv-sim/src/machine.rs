@@ -39,7 +39,7 @@
 use lv_trace::{keys, SpanId, Tracer, TrackId};
 
 use crate::cache::Cache;
-use crate::config::{ConfigError, CostModel, MachineConfig, VpuStyle};
+use crate::config::{ConfigError, MachineConfig, VpuStyle};
 use crate::lint::LintState;
 use crate::stats::Stats;
 
@@ -981,20 +981,11 @@ impl Machine {
         }
     }
 
-    /// Transpose each consecutive 8x8 block held across eight registers:
-    /// register `regs[r]`, lane block `c` holds row `r` of tile `c`. After
-    /// the call, lane blocks hold the transposed tiles. Requires `vl` to be
-    /// a multiple of 8. Models the zip/unzip ladder SVE and RVV use
-    /// (24 register permutes for 8 registers).
-    pub fn vtranspose8(&mut self, regs: [VReg; 8]) {
-        self.vtranspose_n(&regs);
-    }
-
-    /// Generalized block transpose: `regs.len() == n` registers, each lane
+    /// Block transpose: `regs.len() == n` registers (2..=8), each lane
     /// block of `n` elements in register `r` holds row `r` of an `n x n`
     /// tile; after the call lane blocks hold the transposed tiles.
-    /// Requires `vl % n == 0`. Cost models the zip/unzip ladder
-    /// (`3n` register permutes for `n` registers).
+    /// Requires `vl % n == 0`. Cost models the zip/unzip ladder SVE and
+    /// RVV use (`3n` register permutes for `n` registers).
     pub fn vtranspose_n(&mut self, regs: &[VReg]) {
         let n = regs.len();
         let vl = self.vl;
@@ -1145,15 +1136,6 @@ impl std::fmt::Debug for Machine {
             .field("vl", &self.vl)
             .field("cycles", &self.stats.cycles)
             .finish()
-    }
-}
-
-/// Convenience: cost model access for kernels that want to reason about
-/// unroll factors etc.
-impl Machine {
-    /// Cost model in effect.
-    pub fn cost_model(&self) -> &CostModel {
-        &self.cfg.cost
     }
 }
 
@@ -1312,7 +1294,7 @@ mod tests {
                 (0..16).map(|i| (r * 100 + (i / 8) * 10 + (i % 8)) as f32).collect();
             m.vle32(regs[r], &vals);
         }
-        m.vtranspose8(regs);
+        m.vtranspose_n(&regs);
         // After transpose: reg r, block b, col c = c*100 + b*10 + r
         for r in 0..8 {
             let got = m.read_reg(regs[r]).to_vec();

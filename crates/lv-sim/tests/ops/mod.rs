@@ -207,11 +207,7 @@ pub fn run(m: &mut Machine, prog: &[Op], bufs: &mut [Vec<f32>; 3]) -> Stats {
             Op::Vtranspose(n, k, first) => {
                 m.vsetvl(n * k);
                 let regs: Vec<VReg> = (first..first + n as u8).map(VReg).collect();
-                if n == 8 {
-                    m.vtranspose8(regs.try_into().expect("eight registers"));
-                } else {
-                    m.vtranspose_n(&regs);
-                }
+                m.vtranspose_n(&regs);
             }
             Op::ScalarOps(n) => m.scalar_ops(n),
             Op::ScalarFma => m.scalar_fma(),

@@ -99,7 +99,6 @@ fn grid_to_selector_to_serving_pipeline() {
             batch: BatchPolicy::none(),
             batch_setup_frac: 0.0,
             seed: 7,
-            slice_s: 0.0,
         };
         ServingEngine::new(cfg).expect("valid config").run()
     };
