@@ -83,15 +83,9 @@ impl EnergyBreakdown {
 ///
 /// * `stats` — the machine's counter snapshot,
 /// * `l2_mib` — L2 capacity (scales per-access energy),
-/// * `area_mm2` — chip area (leakage),
-/// * `freq_ghz` — clock, to convert cycles to time for leakage.
-pub fn energy_of(
-    p: &EnergyParams,
-    stats: &Stats,
-    l2_mib: usize,
-    area_mm2: f64,
-    freq_ghz: f64,
-) -> EnergyBreakdown {
+/// * `area_mm2` — chip area (leakage, over the run's time at
+///   [`lv_sim::CLOCK_HZ`]).
+pub fn energy_of(p: &EnergyParams, stats: &Stats, l2_mib: usize, area_mm2: f64) -> EnergyBreakdown {
     let pj = 1e-12;
     let compute_j = (stats.flops as f64 * p.pj_per_flop
         + stats.scalar_ops as f64 * p.pj_per_scalar_op
@@ -101,7 +95,7 @@ pub fn energy_of(
     let l2_scale = (l2_mib as f64).sqrt().max(1.0);
     let l2_j = stats.l2_accesses as f64 * p.pj_per_l2_line_1mib * l2_scale * pj;
     let dram_j = (stats.mem_lines + stats.prefetch_lines) as f64 * p.pj_per_dram_line * pj;
-    let seconds = stats.cycles as f64 / (freq_ghz * 1e9);
+    let seconds = stats.cycles as f64 / lv_sim::CLOCK_HZ;
     let leakage_j = p.leakage_w_per_mm2 * area_mm2 * seconds;
     EnergyBreakdown { compute_j, l1_j, l2_j, dram_j, leakage_j }
 }
@@ -124,7 +118,7 @@ mod tests {
     #[test]
     fn dram_dominates_when_thrashing() {
         let p = EnergyParams::default();
-        let thrash = energy_of(&p, &stats(1000, 1000, 1000, 1000, 10_000), 1, 3.0, 2.0);
+        let thrash = energy_of(&p, &stats(1000, 1000, 1000, 1000, 10_000), 1, 3.0);
         assert!(thrash.dram_j > thrash.l2_j);
         assert!(thrash.dram_j > thrash.compute_j);
     }
@@ -133,8 +127,8 @@ mod tests {
     fn bigger_l2_costs_more_per_access() {
         let p = EnergyParams::default();
         let s = stats(0, 0, 1_000_000, 0, 1000);
-        let small = energy_of(&p, &s, 1, 3.0, 2.0);
-        let big = energy_of(&p, &s, 64, 3.0, 2.0);
+        let small = energy_of(&p, &s, 1, 3.0);
+        let big = energy_of(&p, &s, 64, 3.0);
         assert!(big.l2_j > small.l2_j * 4.0, "sqrt scaling: {} vs {}", big.l2_j, small.l2_j);
     }
 
@@ -142,14 +136,14 @@ mod tests {
     fn leakage_scales_with_area_and_time() {
         let p = EnergyParams::default();
         let s = stats(0, 0, 0, 0, 2_000_000_000); // 1 s at 2 GHz
-        let e = energy_of(&p, &s, 1, 10.0, 2.0);
+        let e = energy_of(&p, &s, 1, 10.0);
         assert!((e.leakage_j - 0.8).abs() < 1e-9); // 0.08 W/mm2 * 10 mm2 * 1 s
     }
 
     #[test]
     fn totals_and_edp() {
         let p = EnergyParams::default();
-        let e = energy_of(&p, &stats(1_000_000, 0, 0, 0, 2_000_000), 1, 1.0, 2.0);
+        let e = energy_of(&p, &stats(1_000_000, 0, 0, 0, 2_000_000), 1, 1.0);
         assert!(e.total_j() > 0.0);
         assert!(e.edp(1e-3) > 0.0);
         let sum = e.compute_j + e.l1_j + e.l2_j + e.dram_j + e.leakage_j;

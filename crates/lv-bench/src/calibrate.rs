@@ -55,7 +55,7 @@ pub fn calibrate_report(scale: f64, ctx: &TraceCtx) -> Result<(String, bool), Be
     );
     for c in &cells {
         let s = &c.shape;
-        let scale_r = calib::stored_for(c.algo, c.vpu).scale;
+        let scale_r = c.stored().scale;
         csv.push_str(&format!(
             "{},{:?},{},{},{},{},{},{},{},{},{},{},{:.3},{:.3},{:.0},{:.6}\n",
             c.machine,
@@ -115,7 +115,7 @@ pub fn calibrate_report(scale: f64, ctx: &TraceCtx) -> Result<(String, bool), Be
     }
     out.push_str(&format!(
         "\nalgorithm-ranking agreement: {:.1}% of {} (machine, shape) groups\n",
-        100.0 * rep.ranking_agreement,
+        100.0 * rep.ranking_agreement(),
         rep.ranked_groups
     ));
     out.push_str(&format!(

@@ -6,6 +6,7 @@
 use std::fmt::Write as _;
 
 use lv_conv::{Algo, ALL_ALGOS};
+use lv_sim::CLOCK_HZ;
 
 use crate::chart::{hbar_chart, table};
 use crate::cli::CliSpec;
@@ -17,9 +18,9 @@ use crate::plan::{self, Executor, Model, SweepPlan};
 use crate::selector::{evaluate_selector, predicted_cycles, SelectorEval};
 use crate::trace::TraceCtx;
 
-/// Seconds at the simulated 2 GHz clock.
+/// Seconds at the simulated clock ([`CLOCK_HZ`]).
 fn secs(cycles: u64) -> f64 {
-    cycles as f64 / 2e9
+    cycles as f64 / CLOCK_HZ
 }
 
 /// Write `results/<name>` with a typed error instead of a panic or a
@@ -649,7 +650,7 @@ fn fig12(rows: &[GridRow]) -> Result<String, BenchError> {
             p.label,
             p.area,
             1.0 / p.cost,
-            2e9 / p.cost
+            CLOCK_HZ / p.cost
         );
     }
     // Paper claim: frontier points co-locate as many models as possible
@@ -1091,11 +1092,15 @@ fn ablation_energy(scale: f64) -> String {
     for vlen in P2_VLENS {
         for l2 in P2_L2S {
             let cfg = MachineConfig::rvv_integrated(vlen, l2);
-            let (algo, _) = lv_models::best_algo(&cfg, &s);
-            let meas = measure_layer(&cfg, &s, algo).unwrap();
+            let meas = ALL_ALGOS
+                .iter()
+                .filter_map(|&a| measure_layer(&cfg, &s, a))
+                .min_by_key(|m| m.cycles)
+                .expect("at least one algorithm applies");
+            let algo = meas.algo;
             let area = chip_area_mm2(1, vlen, l2);
-            let e = energy_of(&p, &meas.stats, l2, area, 2.0);
-            let t = meas.cycles as f64 / 2e9;
+            let e = energy_of(&p, &meas.stats, l2, area);
+            let t = meas.seconds();
             let edp = e.edp(t);
             trows.push(vec![
                 format!("{vlen}b x {l2}MB"),

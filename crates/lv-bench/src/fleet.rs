@@ -29,6 +29,7 @@ use lv_fleet::{
     WorkloadSpec, ALL_POLICIES,
 };
 use lv_serving::partition_l2;
+use lv_sim::CLOCK_HZ;
 
 use crate::chart::table;
 use crate::error::BenchError;
@@ -37,8 +38,6 @@ use crate::grid::{policy_cycles, GridRow, P2_L2S};
 use crate::plan::{Executor, Model, SweepPlan};
 use crate::trace::{TraceCtx, PID_FLEET};
 
-/// Simulated clock of the grid measurements (2 GHz).
-const CLOCK_HZ: f64 = 2e9;
 /// Arrivals simulated per (composition, load) sweep point.
 const REQUESTS: usize = 6_000;
 /// Request classes served by every fleet (class id = index).

@@ -96,22 +96,16 @@ pub struct Cell {
 }
 
 impl Cell {
-    /// Content address of this cell: a stable hash of everything that
-    /// determines its simulated metrics — the machine design point, the
-    /// layer geometry and the algorithm, salted with the kernel/timing
-    /// revisions. Deliberately independent of `model`/`layer` labels, so
-    /// identically-shaped layers (and identical cells across figures)
-    /// share one simulation.
-    pub fn key(&self, salt: &str) -> u64 {
-        self.key_tiered(salt, BackendKind::Cycle)
-    }
-
-    /// [`Self::key`] for an explicit simulation tier. Cycle-tier keys are
-    /// the historical addresses (existing caches stay warm); fast-tier
-    /// keys additionally fold in the tier name and
-    /// [`lv_sim::FAST_MODEL_REV`], so the two tiers can never serve each
-    /// other's cells and a fast-model (or calibration-table) change
-    /// invalidates only fast cells.
+    /// Content address of this cell on one simulation tier: a stable hash
+    /// of everything that determines its simulated metrics — the machine
+    /// design point, the layer geometry and the algorithm, salted with the
+    /// kernel/timing revisions. Deliberately independent of `model`/`layer`
+    /// labels, so identically-shaped layers (and identical cells across
+    /// figures) share one simulation. Cycle-tier keys are the historical
+    /// addresses (existing caches stay warm); fast-tier keys additionally
+    /// fold in the tier name and [`lv_sim::FAST_MODEL_REV`], so the two
+    /// tiers can never serve each other's cells and a fast-model (or
+    /// calibration-table) change invalidates only fast cells.
     pub fn key_tiered(&self, salt: &str, backend: BackendKind) -> u64 {
         let s = &self.shape;
         let tier = match backend {
@@ -611,14 +605,13 @@ impl Executor {
             let total = missing.len();
             let verbose = self.opts.verbose;
             let id = plan.id().to_string();
-            let sim = backend.backend();
             let priced: Vec<Vec<(usize, CellMetrics)>> = passes
                 .into_par_iter()
                 .map(|members| {
                     let c = &missing[members[0]].1;
                     let cfgs: Vec<MachineConfig> =
                         members.iter().map(|&i| missing[i].1.cfg).collect();
-                    let ms = sim.measure_group(&cfgs, &c.shape, c.algo).unwrap_or_default();
+                    let ms = backend.measure_group(&cfgs, &c.shape, c.algo).unwrap_or_default();
                     let n = done.fetch_add(ms.len(), Ordering::Relaxed) + ms.len();
                     if verbose && n / 32 > (n - ms.len()) / 32 {
                         eprintln!("[plan {id}] {n}/{total} cells simulated");
@@ -825,12 +818,13 @@ mod tests {
         let cfg = MachineConfig::rvv_integrated(512, 1);
         let a = Cell { model: "a".into(), layer: 1, shape: s, cfg, algo: Algo::Gemm3 };
         let b = Cell { model: "b/dec".into(), layer: 7, shape: s, cfg, algo: Algo::Gemm3 };
-        assert_eq!(a.key("s"), b.key("s"), "labels must not affect the content address");
+        let key = |c: &Cell, salt| c.key_tiered(salt, BackendKind::Cycle);
+        assert_eq!(key(&a, "s"), key(&b, "s"), "labels must not affect the content address");
         let c = Cell { cfg: MachineConfig::rvv_integrated(1024, 1), ..a.clone() };
-        assert_ne!(a.key("s"), c.key("s"));
+        assert_ne!(key(&a, "s"), key(&c, "s"));
         let d = Cell { algo: Algo::Direct, ..a.clone() };
-        assert_ne!(a.key("s"), d.key("s"));
-        assert_ne!(a.key("s"), a.key("s2"), "salt bump must change the address");
+        assert_ne!(key(&a, "s"), key(&d, "s"));
+        assert_ne!(key(&a, "s"), key(&a, "s2"), "salt bump must change the address");
     }
 
     #[test]
@@ -844,8 +838,12 @@ mod tests {
         };
         // The cycle tier keeps the historical address (warm caches stay
         // warm); the fast tier gets a disjoint, FAST_MODEL_REV-salted one.
-        assert_eq!(c.key("s"), c.key_tiered("s", BackendKind::Cycle));
-        assert_ne!(c.key("s"), c.key_tiered("s", BackendKind::Fast));
+        let canon = format!(
+            "{}|shape=2,8,8,4,3,3,1,1|algo=im2col+GEMM-3loops|salt=s",
+            MachineConfig::rvv_integrated(512, 1).stable_key()
+        );
+        assert_eq!(c.key_tiered("s", BackendKind::Cycle), lv_sim::fnv1a(canon.as_bytes()));
+        assert_ne!(c.key_tiered("s", BackendKind::Cycle), c.key_tiered("s", BackendKind::Fast));
     }
 
     #[test]
@@ -882,7 +880,7 @@ mod tests {
                 .into_iter()
                 .filter(|c| c.applicable())
                 .filter_map(|c| {
-                    let k = c.key("s");
+                    let k = c.key_tiered("s", BackendKind::Cycle);
                     cached.insert(k).then_some((k, c))
                 })
                 .collect();

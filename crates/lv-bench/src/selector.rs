@@ -78,9 +78,9 @@ pub fn dataset_from_grid(rows: &[GridRow]) -> (Dataset, Vec<PointKey>) {
                     .iter()
                     .filter_map(|&a| find(rows, &model, layer, vlen, l2, a).map(|r| (a, r.cycles)))
                     .min_by_key(|&(_, c)| c);
-                let Some((best_algo, _)) = best else { continue };
+                let Some((winner, _)) = best else { continue };
                 feats.push(features_of(&shape, vlen, l2));
-                labels.push(best_algo.label());
+                labels.push(winner.label());
                 keys.push(PointKey { model: model.clone(), layer, vlen, l2 });
             }
         }

@@ -19,6 +19,7 @@ use std::fmt::Write as _;
 
 use lv_conv::Algo;
 use lv_serving::{partition_l2, BatchPolicy, EngineConfig, RequestClass, ServingEngine};
+use lv_sim::CLOCK_HZ;
 
 use crate::chart::table;
 use crate::error::BenchError;
@@ -27,8 +28,6 @@ use crate::grid::{policy_cycles, table1_layers, GridRow, P2_L2S};
 use crate::selector::{evaluate_selector, predicted_cycles, tuned_params, SelectorEval};
 use crate::trace::{TraceCtx, PID_SERVING};
 
-/// Simulated clock of the grid measurements (2 GHz).
-const CLOCK_HZ: f64 = 2e9;
 /// Model replicas co-located on the chip (one per core, as in Fig. 12).
 const REPLICAS: usize = 4;
 /// Shared L2 capacity of the serving chip, MiB.

@@ -233,7 +233,7 @@ fn cycle_tier_runs_one_pass_per_l2_group() {
     // missing cells.
     let mut want = Vec::new();
     for c in plan.expand() {
-        let k = format!("{:016x}", c.key(exec.salt()));
+        let k = format!("{:016x}", c.key_tiered(exec.salt(), BackendKind::Cycle));
         if !want.contains(&k) {
             want.push(k);
         }

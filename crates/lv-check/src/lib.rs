@@ -26,5 +26,5 @@ pub use diff::{
     structured_grid, CellResult, CheckConfig, CheckReport,
 };
 pub use oracle::{conv2d_f64, depthwise_f64, im2col_f64, ConvOracle};
-pub use tier::{run_tier_check, TierCell, TierReport};
+pub use tier::{run_tier_check, TierReport};
 pub use tolerance::{compare, gamma, Comparison, Violation};

@@ -40,7 +40,7 @@ pub fn gemm3_kernel(
 /// [`gemm3_kernel`] with an explicit unroll factor, for the Paper I
 /// unroll ablation ("no significant improvement beyond 16 registers …
 /// utilizing 32 registers dropped performance ~15% due to register
-/// spilling"). Unrolling past the [`RESIDENT`] accumulator budget is
+/// spilling"). Unrolling past the 30-register accumulator budget is
 /// faithfully modeled: spilled accumulators live in the `C` tile and pay a
 /// load + store around every FMA.
 pub fn gemm3_kernel_unrolled(

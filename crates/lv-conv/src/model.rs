@@ -806,7 +806,8 @@ fn winograd_workload(ctx: &Ctx, s: &ConvShape) -> Workload {
         s3_m.elems += it * 8 * vl;
         s3_m.gather_cycles += it * 8 * ctx.gather(vl);
         s3_m.reuse_lines += it * 8 * bn;
-        // AT8 apply twice (38 arith + 2 clears each) around the transpose.
+        // `WinoPlan::F6X6.at` applied twice (38 arith + 2 clears each)
+        // around the transpose.
         s3.arith_instrs += it * 80;
         s3.arith_beats += it * 80 * ctx.beats(vl);
         s3.arith_elems += it * 80 * vl;

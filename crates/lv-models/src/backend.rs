@@ -1,94 +1,27 @@
-//! The two-tier simulation seam: one [`SimBackend`] trait, two
-//! implementations.
+//! The two-tier simulation seam: [`BackendKind`] names a tier and prices
+//! cells on it.
 //!
-//! * [`CycleBackend`] — the existing cycle-accurate [`lv_sim::Machine`],
-//!   via [`measure_group`]. Ground truth; O(MACs) per kernel pass, and
-//!   one pass prices every L2 size of a group.
-//! * [`FastBackend`] — the analytical tier: `lv_conv::model` builds an
-//!   event-count [`lv_sim::fastmodel::Workload`] mirroring the kernel's
+//! * [`BackendKind::Cycle`] — the existing cycle-accurate
+//!   [`lv_sim::Machine`], via [`measure_group`]. Ground truth; O(MACs) per
+//!   kernel pass, and one pass prices every L2 size of a group.
+//! * [`BackendKind::Fast`] — the analytical tier: `lv_conv::model` builds
+//!   an event-count [`lv_sim::fastmodel::Workload`] mirroring the kernel's
 //!   loop structure, `lv_sim::fastmodel::evaluate` prices it, and the
 //!   per-regime scale from [`crate::calib`] maps model cycles onto
 //!   machine cycles. O(1) per cell; its error envelope is measured and
-//!   CI-enforced, not assumed.
+//!   CI-enforced by [`crate::calib`], not assumed.
 //!
 //! Both tiers speak [`CellMetrics`], so everything above the seam — the
 //! `lv-bench` executor, the selector dataset, fleet capacity plans — is
-//! tier-agnostic. Consumers choose with [`BackendKind`]; cell caches salt
-//! keys with the tier (plus `FAST_MODEL_REV`) so results never mix.
+//! tier-agnostic. Cell caches salt keys with the tier (plus
+//! `FAST_MODEL_REV`) so results never mix.
 
 use lv_conv::Algo;
 use lv_sim::MachineConfig;
 use lv_tensor::ConvShape;
 
 use crate::calib;
-use crate::measure::{measure_cell, measure_group, CellMetrics};
-
-/// A simulation tier: anything that can price one (machine, layer,
-/// algorithm) cell. `None` exactly when the algorithm does not apply to
-/// the layer — both tiers must agree on which cells exist.
-pub trait SimBackend: Sync {
-    /// Tier name, used in cache-key salts and report lines.
-    fn name(&self) -> &'static str;
-    /// Price one cell; `None` when `algo` is inapplicable to `s`.
-    fn measure(&self, cfg: &MachineConfig, s: &ConvShape, algo: Algo) -> Option<CellMetrics>;
-
-    /// Price the cells of design points that differ only in their L2, in
-    /// `cfgs` order. The default prices them cell by cell; a tier that
-    /// can share work across the group overrides it.
-    fn measure_group(
-        &self,
-        cfgs: &[MachineConfig],
-        s: &ConvShape,
-        algo: Algo,
-    ) -> Option<Vec<CellMetrics>> {
-        cfgs.iter().map(|cfg| self.measure(cfg, s, algo)).collect()
-    }
-}
-
-/// The cycle-accurate tier: executes the real kernel on the simulated
-/// machine (ground truth for figures and calibration).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CycleBackend;
-
-impl SimBackend for CycleBackend {
-    fn name(&self) -> &'static str {
-        "cycle"
-    }
-
-    fn measure(&self, cfg: &MachineConfig, s: &ConvShape, algo: Algo) -> Option<CellMetrics> {
-        measure_cell(cfg, s, algo)
-    }
-
-    /// One kernel pass for the whole group (see [`measure_group`]).
-    fn measure_group(
-        &self,
-        cfgs: &[MachineConfig],
-        s: &ConvShape,
-        algo: Algo,
-    ) -> Option<Vec<CellMetrics>> {
-        Some(measure_group(cfgs, s, algo)?.iter().map(CellMetrics::from).collect())
-    }
-}
-
-/// The calibrated analytical tier.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct FastBackend;
-
-impl SimBackend for FastBackend {
-    fn name(&self) -> &'static str {
-        "fast"
-    }
-
-    fn measure(&self, cfg: &MachineConfig, s: &ConvShape, algo: Algo) -> Option<CellMetrics> {
-        let w = lv_conv::model::workload(algo, s, cfg)?;
-        let scale = calib::stored_for(algo, cfg.vpu).scale;
-        let p = lv_sim::fastmodel::evaluate(cfg, &w, scale);
-        Some(CellMetrics { cycles: p.cycles, avg_vl: p.avg_vl, l2_miss_rate: p.l2_miss_rate })
-    }
-}
-
-static CYCLE: CycleBackend = CycleBackend;
-static FAST: FastBackend = FastBackend;
+use crate::measure::{measure_group, CellMetrics};
 
 /// Which tier to run a plan (or a whole `repro` invocation) on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -110,7 +43,8 @@ impl BackendKind {
         }
     }
 
-    /// Tier name ("cycle" / "fast").
+    /// Tier name ("cycle" / "fast"), used in cache-key salts and report
+    /// lines.
     pub fn name(self) -> &'static str {
         match self {
             BackendKind::Cycle => "cycle",
@@ -118,12 +52,41 @@ impl BackendKind {
         }
     }
 
-    /// The tier implementation.
-    pub fn backend(self) -> &'static dyn SimBackend {
+    /// Price the cells of design points that differ only in their L2, in
+    /// `cfgs` order. `None` exactly when `algo` does not apply to `s` —
+    /// both tiers agree on which cells exist. The cycle tier runs one
+    /// kernel pass for the whole group (see [`measure_group`]); the fast
+    /// tier prices each config on its own.
+    pub fn measure_group(
+        self,
+        cfgs: &[MachineConfig],
+        s: &ConvShape,
+        algo: Algo,
+    ) -> Option<Vec<CellMetrics>> {
         match self {
-            BackendKind::Cycle => &CYCLE,
-            BackendKind::Fast => &FAST,
+            BackendKind::Cycle => {
+                Some(measure_group(cfgs, s, algo)?.iter().map(CellMetrics::from).collect())
+            }
+            BackendKind::Fast => cfgs
+                .iter()
+                .map(|cfg| {
+                    let w = lv_conv::model::workload(algo, s, cfg)?;
+                    let scale = calib::stored_for(algo, cfg.vpu).scale;
+                    let p = lv_sim::fastmodel::evaluate(cfg, &w, scale);
+                    Some(CellMetrics {
+                        cycles: p.cycles,
+                        avg_vl: p.avg_vl,
+                        l2_miss_rate: p.l2_miss_rate,
+                    })
+                })
+                .collect(),
         }
+    }
+
+    /// Price one (machine, layer, algorithm) cell: [`Self::measure_group`]
+    /// of one config.
+    pub fn measure(self, cfg: &MachineConfig, s: &ConvShape, algo: Algo) -> Option<CellMetrics> {
+        self.measure_group(std::slice::from_ref(cfg), s, algo)?.pop()
     }
 }
 
@@ -133,12 +96,21 @@ mod tests {
 
     #[test]
     fn kinds_roundtrip_and_dispatch() {
-        assert_eq!(BackendKind::parse("cycle"), Some(BackendKind::Cycle));
-        assert_eq!(BackendKind::parse("fast"), Some(BackendKind::Fast));
-        assert_eq!(BackendKind::parse("warp"), None);
         for k in [BackendKind::Cycle, BackendKind::Fast] {
-            assert_eq!(k.backend().name(), k.name());
+            assert_eq!(BackendKind::parse(k.name()), Some(k));
         }
+        assert_eq!(BackendKind::parse("warp"), None);
+        let cfg = MachineConfig::rvv_decoupled(1024, 4);
+        let s = ConvShape::same_pad(4, 8, 12, 3, 1);
+        // The fast tier is the model at the regime's committed scale.
+        let w = lv_conv::model::workload(Algo::Gemm6, &s, &cfg).unwrap();
+        let scale = calib::stored_for(Algo::Gemm6, cfg.vpu).scale;
+        let fast = BackendKind::Fast.measure(&cfg, &s, Algo::Gemm6).unwrap();
+        assert_eq!(fast.cycles, lv_sim::fastmodel::evaluate(&cfg, &w, scale).cycles);
+        // The cycle tier runs the kernel (avg VL does not follow addresses).
+        let cycle = BackendKind::Cycle.measure(&cfg, &s, Algo::Gemm6).unwrap();
+        let layer = crate::measure_layer(&cfg, &s, Algo::Gemm6).unwrap();
+        assert_eq!(cycle.avg_vl, layer.avg_vl);
     }
 
     #[test]
@@ -146,9 +118,8 @@ mod tests {
         let cfg = MachineConfig::rvv_integrated(512, 1);
         let s1x1 = ConvShape::same_pad(4, 6, 8, 1, 1);
         for k in [BackendKind::Cycle, BackendKind::Fast] {
-            let b = k.backend();
-            assert!(b.measure(&cfg, &s1x1, Algo::Winograd).is_none(), "{}", b.name());
-            assert!(b.measure(&cfg, &s1x1, Algo::Gemm3).is_some(), "{}", b.name());
+            assert!(k.measure(&cfg, &s1x1, Algo::Winograd).is_none(), "{}", k.name());
+            assert!(k.measure(&cfg, &s1x1, Algo::Gemm3).is_some(), "{}", k.name());
         }
     }
 
@@ -157,7 +128,7 @@ mod tests {
         let cfg = MachineConfig::rvv_integrated(1024, 4);
         let s = ConvShape::same_pad(8, 16, 24, 3, 1);
         for a in lv_conv::ALL_ALGOS {
-            let m = FastBackend.measure(&cfg, &s, a).unwrap();
+            let m = BackendKind::Fast.measure(&cfg, &s, a).unwrap();
             assert!(m.cycles >= 1);
             assert!((0.0..=1.0).contains(&m.l2_miss_rate));
             assert!(m.avg_vl > 0.0 && m.avg_vl <= cfg.vlen_elems() as f64);

@@ -24,8 +24,8 @@ use lv_conv::{Algo, ALL_ALGOS};
 use lv_sim::{MachineConfig, VpuStyle};
 use lv_tensor::ConvShape;
 
-use crate::measure::measure_cell;
 use crate::zoo;
+use crate::BackendKind;
 
 /// One regime's committed calibration: the fast-tier scale and the
 /// CI-enforced relative error bound, both residual-derived.
@@ -105,7 +105,7 @@ pub fn stored() -> &'static [RegimeCalibration; 8] {
 }
 
 /// Relative regret below which two algorithms count as tied when judging
-/// cross-tier ranking agreement. `measure_cell` documents <1% run-to-run
+/// cross-tier ranking agreement. `measure_layer` documents <1% run-to-run
 /// allocator noise in the cycle tier, so a ranking separated by less than
 /// this is not reproducible even cycle-vs-cycle (the calibration grid
 /// contains exact ties); a pick whose true cost is within the noise floor
@@ -244,26 +244,45 @@ pub struct CalibCell {
 }
 
 impl CalibCell {
+    /// The regime's committed calibration row.
+    pub fn stored(&self) -> &'static RegimeCalibration {
+        stored_for(self.algo, self.vpu)
+    }
+
     /// The fast tier's prediction for this cell under `scale`.
     pub fn predicted(&self, scale: f64) -> f64 {
-        (self.fast_raw * scale).max(self.bw_floor).max(1.0)
+        lv_sim::fastmodel::scaled_cycles(self.fast_raw, self.bw_floor, scale)
     }
 
     /// Relative residual `fast/cycle - 1` under `scale`.
     pub fn residual(&self, scale: f64) -> f64 {
         self.predicted(scale) / self.cycle.max(1) as f64 - 1.0
     }
+
+    /// Whether the prediction under the committed scale is inside the
+    /// regime's committed error bound.
+    pub fn within_envelope(&self) -> bool {
+        let stored = self.stored();
+        self.residual(stored.scale).abs() <= stored.bound
+    }
 }
 
 /// Run both tiers on one calibration point, for every applicable
-/// algorithm. This is the expensive call (one cycle-accurate simulation
-/// per algorithm) — callers parallelize over points.
+/// algorithm: the one place the fast tier is judged against the cycle
+/// tier (`repro calibrate`, `repro check --backend fast` and the parity
+/// test all sweep through it). This is the expensive call (one
+/// cycle-accurate simulation per algorithm) — callers parallelize over
+/// points. Panics if the tiers disagree on which algorithms apply.
 pub fn measure_point(p: &CalibPoint) -> Vec<CalibCell> {
     let mut out = Vec::new();
     for &algo in &ALL_ALGOS {
-        let Some(w) = lv_conv::model::workload(algo, &p.shape, &p.cfg) else { continue };
+        let workload = lv_conv::model::workload(algo, &p.shape, &p.cfg);
+        let (w, cm) = match (workload, BackendKind::Cycle.measure(&p.cfg, &p.shape, algo)) {
+            (Some(w), Some(cm)) => (w, cm),
+            (None, None) => continue,
+            _ => panic!("tiers disagree on applicability: {algo:?} {:?}", p.shape),
+        };
         let fp = lv_sim::fastmodel::evaluate(&p.cfg, &w, 1.0);
-        let Some(cm) = measure_cell(&p.cfg, &p.shape, algo) else { continue };
         out.push(CalibCell {
             machine: p.machine.clone(),
             vpu: p.cfg.vpu,
@@ -314,10 +333,11 @@ impl RegimeReport {
 pub struct CalibrationReport {
     /// Per-regime statistics (only regimes with cells).
     pub regimes: Vec<RegimeReport>,
-    /// Fraction of (machine, shape) groups where both tiers pick the same
-    /// fastest algorithm, under the stored scales.
-    pub ranking_agreement: f64,
-    /// Number of (machine, shape) groups ranked.
+    /// (machine, shape) groups where both tiers pick the same fastest
+    /// algorithm, under the stored scales (see [`ranking_agrees`]).
+    pub rank_agree: usize,
+    /// Number of (machine, shape) groups ranked (>= 2 applicable
+    /// algorithms).
     pub ranked_groups: usize,
     /// Total cells.
     pub cells: usize,
@@ -327,6 +347,16 @@ impl CalibrationReport {
     /// Any regime outside its committed envelope?
     pub fn drifted(&self) -> bool {
         self.regimes.iter().any(|r| r.drifted())
+    }
+
+    /// Fraction of ranked groups where both tiers agree; 1 when nothing
+    /// was ranked.
+    pub fn ranking_agreement(&self) -> f64 {
+        if self.ranked_groups == 0 {
+            1.0
+        } else {
+            self.rank_agree as f64 / self.ranked_groups as f64
+        }
     }
 }
 
@@ -380,32 +410,27 @@ pub fn summarize(cells: &[CalibCell]) -> CalibrationReport {
             None => groups.push((&c.machine, c.shape, vec![c])),
         }
     }
-    let mut ranked = 0usize;
-    let mut agree = 0usize;
+    let mut ranked_groups = 0usize;
+    let mut rank_agree = 0usize;
     for (_, _, v) in &groups {
         if v.len() < 2 {
             continue;
         }
-        ranked += 1;
+        ranked_groups += 1;
         let cyc_best = v.iter().map(|c| c.cycle).min().expect("non-empty");
         let fast_pick = v
             .iter()
             .min_by(|a, b| {
-                let pa = a.predicted(stored_for(a.algo, a.vpu).scale);
-                let pb = b.predicted(stored_for(b.algo, b.vpu).scale);
+                let pa = a.predicted(a.stored().scale);
+                let pb = b.predicted(b.stored().scale);
                 pa.total_cmp(&pb)
             })
             .expect("non-empty");
         if ranking_agrees(fast_pick.cycle, cyc_best) {
-            agree += 1;
+            rank_agree += 1;
         }
     }
-    CalibrationReport {
-        regimes,
-        ranking_agreement: if ranked == 0 { 1.0 } else { agree as f64 / ranked as f64 },
-        ranked_groups: ranked,
-        cells: cells.len(),
-    }
+    CalibrationReport { regimes, rank_agree, ranked_groups, cells: cells.len() }
 }
 
 #[cfg(test)]
@@ -449,5 +474,45 @@ mod tests {
         let r = rep.regimes.iter().find(|r| r.algo == Algo::Gemm3).unwrap();
         assert!((r.derived_scale - 2.0).abs() < 1e-12);
         assert!(r.derived_bound < 1e-9);
+    }
+
+    /// The per-cell verdict (`repro check --backend fast`) and the
+    /// per-regime one (`repro calibrate`) judge the same envelope, and the
+    /// ranking counts see agreeing, disagreeing and unranked groups.
+    #[test]
+    fn per_cell_and_per_regime_verdicts_agree() {
+        let mk = |shape: ConvShape, algo: Algo, cycle: u64, raw: f64| CalibCell {
+            machine: "m".into(),
+            vpu: VpuStyle::Integrated,
+            shape,
+            algo,
+            cycle,
+            fast_raw: raw,
+            bw_floor: 0.0,
+        };
+        let exact = |shape, algo, cycle: u64| {
+            mk(shape, algo, cycle, cycle as f64 / stored_for(algo, VpuStyle::Integrated).scale)
+        };
+        let (s1, s2, s3) = (
+            ConvShape::same_pad(2, 4, 8, 3, 1),
+            ConvShape::same_pad(3, 4, 8, 3, 1),
+            ConvShape::same_pad(4, 4, 8, 3, 1),
+        );
+        // s1: both tiers pick gemm3. s3: one algorithm, nothing to rank.
+        let mut cells = vec![exact(s1, Algo::Gemm3, 1000), exact(s1, Algo::Direct, 2000)];
+        cells.push(exact(s3, Algo::Gemm6, 500));
+        assert!(cells.iter().all(CalibCell::within_envelope));
+        assert!(!summarize(&cells).drifted());
+        // s2: gemm3 is fastest but predicted +51% (outside its 34% bound),
+        // so the fast tier picks direct, 40% slower.
+        cells.push(mk(s2, Algo::Gemm3, 1000, 1500.0));
+        cells.push(mk(s2, Algo::Direct, 1400, 1000.0));
+        let verdicts: Vec<bool> = cells.iter().map(CalibCell::within_envelope).collect();
+        assert_eq!(verdicts, [true, true, true, false, true]);
+        let rep = summarize(&cells);
+        assert_eq!(rep.drifted(), cells.iter().any(|c| !c.within_envelope()));
+        assert!(rep.drifted());
+        assert_eq!((rep.rank_agree, rep.ranked_groups), (1, 2));
+        assert_eq!(rep.ranking_agreement(), 0.5);
     }
 }

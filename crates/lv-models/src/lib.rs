@@ -28,11 +28,8 @@ mod model;
 mod runner;
 pub mod zoo;
 
-pub use backend::{BackendKind, CycleBackend, FastBackend, SimBackend};
-pub use measure::{
-    best_algo, measure_all_algos, measure_cell, measure_group, measure_layer, CellMetrics,
-    LayerMeasurement,
-};
+pub use backend::BackendKind;
+pub use measure::{measure_group, measure_layer, CellMetrics, LayerMeasurement};
 pub use model::{Activation, Layer, LayerKind, Model, ModelBuilder};
 pub use runner::{
     effective_algo, generate_weights, network_input, run_network, run_network_captured,

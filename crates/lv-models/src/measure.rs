@@ -2,7 +2,7 @@
 //! in the paper (Figs. 1-8) and the classifier's training grid.
 
 use lv_conv::{run_conv, Algo, PreparedWeights};
-use lv_sim::{Machine, MachineConfig, Stats};
+use lv_sim::{Machine, MachineConfig, Stats, CLOCK_HZ};
 use lv_tensor::{AlignedVec, ConvShape};
 use serde::{Deserialize, Serialize};
 
@@ -29,9 +29,10 @@ pub struct LayerMeasurement {
 }
 
 impl LayerMeasurement {
-    /// Execution time in seconds at the machine's 2 GHz clock.
+    /// Execution time in seconds at the simulated clock
+    /// ([`lv_sim::CLOCK_HZ`]).
     pub fn seconds(&self) -> f64 {
-        self.cycles as f64 / 2e9
+        self.cycles as f64 / CLOCK_HZ
     }
 }
 
@@ -101,25 +102,6 @@ impl From<&LayerMeasurement> for CellMetrics {
     }
 }
 
-/// [`measure_layer`] narrowed to the cacheable [`CellMetrics`] triple;
-/// `None` when the algorithm does not apply to the layer.
-pub fn measure_cell(cfg: &MachineConfig, s: &ConvShape, algo: Algo) -> Option<CellMetrics> {
-    measure_layer(cfg, s, algo).map(|m| CellMetrics::from(&m))
-}
-
-/// Measure a layer under every applicable algorithm; returns
-/// `(algo, measurement)` pairs in [`lv_conv::ALL_ALGOS`] order.
-pub fn measure_all_algos(cfg: &MachineConfig, s: &ConvShape) -> Vec<LayerMeasurement> {
-    lv_conv::ALL_ALGOS.iter().filter_map(|&a| measure_layer(cfg, s, a)).collect()
-}
-
-/// The fastest algorithm for a layer on a design point.
-pub fn best_algo(cfg: &MachineConfig, s: &ConvShape) -> (Algo, u64) {
-    let ms = measure_all_algos(cfg, s);
-    let best = ms.iter().min_by_key(|m| m.cycles).expect("at least one algorithm applies");
-    (best.algo, best.cycles)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -128,10 +110,12 @@ mod tests {
     fn measures_applicable_algorithms_only() {
         let cfg = MachineConfig::rvv_integrated(512, 1);
         let s1x1 = ConvShape::same_pad(8, 8, 16, 1, 1);
-        let got = measure_all_algos(&cfg, &s1x1);
-        assert_eq!(got.len(), 3); // no Winograd
-        assert!(got.iter().all(|m| m.algo != Algo::Winograd));
-        assert!(measure_layer(&cfg, &s1x1, Algo::Winograd).is_none());
+        for algo in lv_conv::ALL_ALGOS {
+            let m = measure_layer(&cfg, &s1x1, algo);
+            // Winograd is the one algorithm a 1x1 kernel rules out.
+            assert_eq!(m.is_some(), algo != Algo::Winograd, "{algo:?}");
+            assert!(m.is_none_or(|m| m.algo == algo && m.cycles > 0), "{algo:?}");
+        }
     }
 
     #[test]
@@ -146,16 +130,5 @@ mod tests {
         let b = measure_layer(&cfg, &s, Algo::Gemm3).unwrap();
         let rel = (a.cycles as f64 - b.cycles as f64).abs() / a.cycles as f64;
         assert!(rel < 0.01, "{} vs {}", a.cycles, b.cycles);
-    }
-
-    #[test]
-    fn best_algo_returns_min_of_one_sweep() {
-        let cfg = MachineConfig::rvv_integrated(512, 1);
-        let s = ConvShape::same_pad(8, 16, 24, 3, 1);
-        let (_best, cycles) = best_algo(&cfg, &s);
-        // A fresh sweep must agree within allocator noise.
-        let min = measure_all_algos(&cfg, &s).iter().map(|m| m.cycles).min().unwrap();
-        let rel = (min as f64 - cycles as f64).abs() / cycles as f64;
-        assert!(rel < 0.01, "best {cycles} vs fresh sweep min {min}");
     }
 }

@@ -35,11 +35,9 @@ proptest! {
         let cfg = b.build().expect("builder inputs are valid by construction");
         let k = k.min(ihw + 2 * pad);
         let s = ConvShape { ic, ih: ihw, iw: ihw, oc, kh: k, kw: k, stride, pad };
-        let cycle = BackendKind::Cycle.backend();
-        let fast = BackendKind::Fast.backend();
         for &algo in &ALL_ALGOS {
-            let c = cycle.measure(&cfg, &s, algo);
-            let f = fast.measure(&cfg, &s, algo);
+            let c = BackendKind::Cycle.measure(&cfg, &s, algo);
+            let f = BackendKind::Fast.measure(&cfg, &s, algo);
             prop_assert_eq!(
                 c.is_some(), f.is_some(),
                 "applicability must match for {:?} on {:?}", algo, &s

@@ -14,7 +14,7 @@
 //! then paste the printed table.
 
 use lv_conv::{Algo, KERNEL_REV};
-use lv_models::measure_cell;
+use lv_models::measure_layer;
 use lv_sim::{MachineConfig, TIMING_REV};
 use lv_tensor::ConvShape;
 
@@ -62,7 +62,7 @@ fn pinned_cells_reproduce_within_noise() {
     let mut failures = Vec::new();
     for (vlen, l2, dec, s, algo, want) in golden() {
         let cfg = config(vlen, l2, dec);
-        let m = measure_cell(&cfg, &s, algo).expect("golden cells are applicable");
+        let m = measure_layer(&cfg, &s, algo).expect("golden cells are applicable");
         if dump {
             println!(
                 "({vlen}, {l2}, {dec}, {s:?}, Algo::{algo:?}, {}_u64), // was {want}",

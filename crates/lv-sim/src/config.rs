@@ -114,9 +114,11 @@ pub struct MachineConfig {
     pub sw_prefetch: bool,
     /// Cycle cost model.
     pub cost: CostModel,
-    /// Core clock, used only to convert cycles to wall time in reports.
-    pub freq_ghz: f64,
 }
+
+/// The simulated core clock in Hz: every report converts cycles to
+/// seconds with it, and the DRAM roofline is expressed per cycle at it.
+pub const CLOCK_HZ: f64 = 2e9;
 
 /// Mebibyte helper for cache sizes.
 pub const MIB: usize = 1024 * 1024;
@@ -135,7 +137,6 @@ impl MachineConfig {
             l2: CacheGeometry { size_bytes: l2_mib * MIB, ways: 8, line_bytes: 64 },
             sw_prefetch: false,
             cost: CostModel::default(),
-            freq_ghz: 2.0,
         }
     }
 
@@ -166,10 +167,10 @@ impl MachineConfig {
 
     /// Peak DRAM bandwidth in bytes/cycle: the 12.8 GiB/s channel the
     /// `mem_line` cost is calibrated against (see [`CostModel::mem_line`]),
-    /// divided by the configured clock. Basis for the bandwidth-utilisation
-    /// figures in verify/roofline outputs.
+    /// divided by the [`CLOCK_HZ`] clock. Basis for the
+    /// bandwidth-utilisation figures in verify/roofline outputs.
     pub fn peak_dram_bytes_per_cycle(&self) -> f64 {
-        12.8e9 / (self.freq_ghz * 1e9)
+        12.8e9 / CLOCK_HZ
     }
 
     /// Start a validated [`MachineConfigBuilder`] from the paper's Paper-II
@@ -204,9 +205,6 @@ impl MachineConfig {
                 return Err(ConfigError::BadGeometry { level, geometry: *g });
             }
         }
-        if !(self.freq_ghz.is_finite() && self.freq_ghz > 0.0) {
-            return Err(ConfigError::BadClock { freq_ghz: self.freq_ghz });
-        }
         Ok(())
     }
 
@@ -215,7 +213,9 @@ impl MachineConfig {
     /// are behaviourally identical to the timing model iff their keys are
     /// equal — this (plus [`crate::TIMING_REV`]) is what content-addressed
     /// result caches hash, so it must stay stable across host platforms
-    /// and process runs (unlike `std::hash::Hash`).
+    /// and process runs (unlike `std::hash::Hash`). The fixed clock
+    /// ([`CLOCK_HZ`]) stays in the key as `ghz=2`, so cached cells keep
+    /// their addresses.
     pub fn stable_key(&self) -> String {
         let c = &self.cost;
         format!(
@@ -243,14 +243,8 @@ impl MachineConfig {
             c.gather_elems_per_cycle,
             c.scalar_op,
             c.vsetvl,
-            self.freq_ghz,
+            CLOCK_HZ / 1e9,
         )
-    }
-
-    /// 64-bit FNV-1a digest of [`Self::stable_key`]; platform- and
-    /// run-stable, unlike `DefaultHasher`.
-    pub fn fingerprint(&self) -> u64 {
-        fnv1a(self.stable_key().as_bytes())
     }
 }
 
@@ -295,11 +289,6 @@ pub enum ConfigError {
         /// The offending geometry.
         geometry: CacheGeometry,
     },
-    /// Clock frequency must be finite and positive.
-    BadClock {
-        /// The offending clock.
-        freq_ghz: f64,
-    },
     /// A machine group needs at least one config.
     EmptyGroup,
     /// A group member differs from the first config outside the L2.
@@ -329,9 +318,6 @@ impl fmt::Display for ConfigError {
                 "{level} geometry {}B/{}-way/{}B-line does not form a set-associative array",
                 geometry.size_bytes, geometry.ways, geometry.line_bytes
             ),
-            ConfigError::BadClock { freq_ghz } => {
-                write!(f, "freq_ghz = {freq_ghz}: must be finite and positive")
-            }
             ConfigError::EmptyGroup => write!(f, "a machine group needs at least one config"),
             ConfigError::GroupMismatch { member } => {
                 write!(f, "group member {member} differs from the first config outside the L2")
@@ -413,12 +399,6 @@ impl MachineConfigBuilder {
         self
     }
 
-    /// Core clock in GHz.
-    pub fn freq_ghz(mut self, ghz: f64) -> Self {
-        self.cfg.freq_ghz = ghz;
-        self
-    }
-
     /// Validate and produce the config.
     pub fn build(self) -> Result<MachineConfig, ConfigError> {
         self.cfg.validate()?;
@@ -488,7 +468,6 @@ mod tests {
             MachineConfig::builder().l1(bad).build(),
             Err(ConfigError::BadGeometry { level: "L1", .. })
         ));
-        assert!(MachineConfig::builder().freq_ghz(0.0).build().is_err());
         // Errors render a readable reason.
         let msg = ConfigError::BadLanes { lanes: 32, max: 16 }.to_string();
         assert!(msg.contains("32") && msg.contains("16"), "{msg}");
@@ -530,8 +509,12 @@ mod tests {
     #[test]
     fn stable_key_separates_timing_relevant_fields() {
         let a = MachineConfig::rvv_integrated(512, 1);
-        assert_eq!(a.stable_key(), a.stable_key());
-        assert_eq!(a.fingerprint(), MachineConfig::rvv_integrated(512, 1).fingerprint());
+        // Pinned: every cached cell's address hashes this text.
+        assert_eq!(
+            a.stable_key(),
+            "vlen=512;lanes=8;vpu=int;l1=65536/4/64;l2=1048576/8/64;pf=0;\
+             cost=1,2,6,1,5,28,3,4,1,1;ghz=2"
+        );
         let configs = [
             MachineConfig::rvv_integrated(1024, 1),
             MachineConfig::rvv_integrated(512, 4),
@@ -541,7 +524,6 @@ mod tests {
         ];
         for b in configs {
             assert_ne!(a.stable_key(), b.stable_key());
-            assert_ne!(a.fingerprint(), b.fingerprint(), "{}", b.stable_key());
         }
     }
 

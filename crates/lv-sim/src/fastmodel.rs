@@ -143,6 +143,14 @@ fn reuse_line_cost(c: &CostModel, class: &MemClass, level: Level) -> u64 {
     }
 }
 
+/// Raw model cycles under a calibration `scale`, floored by the DRAM
+/// bandwidth roofline (`floor`, in cycles) and by one cycle. [`evaluate`]
+/// rounds this; calibration re-prices stored raw cycles with it under
+/// other scales.
+pub fn scaled_cycles(raw: f64, floor: f64, scale: f64) -> f64 {
+    (raw * scale).max(floor).max(1.0)
+}
+
 /// Price a [`Workload`] on a design point. `scale` is the calibration
 /// factor for the (algorithm, VPU-style) regime — pass `1.0` for the raw
 /// model. The bandwidth roofline is applied *after* scaling, so a scale
@@ -199,8 +207,7 @@ pub fn evaluate(cfg: &MachineConfig, w: &Workload, scale: f64) -> FastPrediction
     let dram_bytes = dram_lines * LINE_BYTES;
     let raw_cycles = cycles as f64;
     let floor = dram_bytes as f64 / cfg.peak_dram_bytes_per_cycle();
-    let scaled = (raw_cycles * scale).max(floor).max(1.0);
-    let cycles = scaled.round().max(1.0) as u64;
+    let cycles = scaled_cycles(raw_cycles, floor, scale).round() as u64;
     FastPrediction {
         cycles,
         raw_cycles,

@@ -1,11 +1,11 @@
 //! # lv-sim — a long-vector machine timing simulator
 //!
 //! This crate is the substrate that replaces the paper's gem5 + RVV setup
-//! (see `DESIGN.md` §4). It models an in-order 2 GHz core with a
-//! vector-length-agnostic (VLA) vector unit — either *tightly integrated*
-//! (reads through L1, Paper II / ARM-SVE style) or *decoupled* (attached to
-//! L2, Paper I RISC-VV style) — above a set-associative L1/L2 hierarchy and
-//! a bandwidth-limited DRAM.
+//! (see `DESIGN.md` §4). It models an in-order 2 GHz core ([`CLOCK_HZ`])
+//! with a vector-length-agnostic (VLA) vector unit — either *tightly
+//! integrated* (reads through L1, Paper II / ARM-SVE style) or *decoupled*
+//! (attached to L2, Paper I RISC-VV style) — above a set-associative L1/L2
+//! hierarchy and a bandwidth-limited DRAM.
 //!
 //! Kernels are written exactly like VLA intrinsics code:
 //!
@@ -47,7 +47,7 @@ mod stats;
 pub use cache::Cache;
 pub use config::{
     fnv1a, CacheGeometry, ConfigError, CostModel, MachineConfig, MachineConfigBuilder, VpuStyle,
-    KIB, MIB,
+    CLOCK_HZ, KIB, MIB,
 };
 pub use lint::LintState;
 pub use machine::{Machine, VReg, LINE_BYTES, NUM_VREGS};

@@ -6,7 +6,7 @@
 
 mod ops;
 
-use lv_sim::{CacheGeometry, ConfigError, Machine, MachineConfig, Stats, KIB, MIB};
+use lv_sim::{CacheGeometry, ConfigError, CostModel, Machine, MachineConfig, Stats, KIB, MIB};
 use proptest::prelude::*;
 
 /// L2 geometries for the group: a thrashing L2 smaller than the three
@@ -75,7 +75,7 @@ fn construction_rejects_groups_that_differ_outside_the_l2() {
         MachineConfig::rvv_decoupled(512, 16),
         MachineConfig { lanes: 4, ..base },
         MachineConfig { l1: CacheGeometry { size_bytes: 32 * KIB, ..base.l1 }, ..base },
-        MachineConfig { freq_ghz: 1.0, ..base },
+        MachineConfig { cost: CostModel { mem_line: 2 * base.cost.mem_line, ..base.cost }, ..base },
     ];
     for other in others {
         let err = Machine::try_new_group(&[base, base, other]).err();

@@ -9,9 +9,8 @@
 //!
 //! * Chrome trace-event JSON ([`Tracer::chrome_json`]) — loadable in
 //!   Perfetto / `chrome://tracing`,
-//! * a flat CSV counter dump ([`Tracer::counters_csv`]),
-//! * an ASCII self-time "top spans" report ([`Tracer::self_time_report`]),
-//! * a derived per-layer roofline view ([`roofline::rows`]).
+//! * an ASCII self-time "top spans" report ([`report::self_time`]),
+//! * a derived per-layer roofline view ([`roofline::rows_on`]).
 //!
 //! ## Clock domains
 //!
@@ -44,7 +43,6 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 pub mod chrome;
-pub mod csv;
 pub mod json;
 pub mod report;
 pub mod roofline;
@@ -488,16 +486,6 @@ impl Tracer {
     /// Write [`Tracer::chrome_json`] to `path`.
     pub fn write_chrome(&self, path: &std::path::Path) -> std::io::Result<()> {
         std::fs::write(path, self.chrome_json())
-    }
-
-    /// Export the flat CSV counter dump (see [`csv`]).
-    pub fn counters_csv(&self) -> String {
-        csv::export(self)
-    }
-
-    /// Render the ASCII self-time "top spans" report (see [`report`]).
-    pub fn self_time_report(&self, top: usize) -> String {
-        report::self_time(self, top)
     }
 }
 

@@ -37,24 +37,15 @@ fn num(span: &FinishedSpan, key: &str) -> Option<f64> {
     span.arg(key).and_then(ArgValue::as_f64)
 }
 
-/// Derive roofline rows from every span that carries a layer index and a
-/// non-zero FLOP count (i.e. compute layers; pooling/reshape layers and
+/// Derive roofline rows from every span on `track` (one machine's timeline
+/// when several traced runs share a tracer) that carries a layer index and
+/// a non-zero FLOP count (i.e. compute layers; pooling/reshape layers and
 /// kernel sub-spans are skipped). Rows come back in span-begin order.
-pub fn rows(tracer: &Tracer) -> Vec<RooflineRow> {
-    derive(&tracer.snapshot_spans())
-}
-
-/// [`rows`], restricted to spans on one track — one machine's timeline
-/// when several traced runs share a tracer.
 pub fn rows_on(tracer: &Tracer, track: TrackId) -> Vec<RooflineRow> {
-    let spans: Vec<FinishedSpan> =
-        tracer.snapshot_spans().into_iter().filter(|s| s.track == track).collect();
-    derive(&spans)
-}
-
-fn derive(spans: &[FinishedSpan]) -> Vec<RooflineRow> {
-    spans
+    tracer
+        .snapshot_spans()
         .iter()
+        .filter(|s| s.track == track)
         .filter_map(|s| {
             let layer = num(s, keys::LAYER)?;
             let flops = num(s, keys::FLOPS)?;
@@ -142,7 +133,7 @@ mod tests {
         let c = t.begin(track, "direct", 120.0);
         t.end_args(c, 130.0, vec![(keys::FLOPS.into(), 10u64.into())]);
 
-        let rows = rows(&t);
+        let rows = rows_on(&t, track);
         assert_eq!(rows.len(), 1);
         let r = &rows[0];
         assert_eq!(r.layer, 0);
@@ -154,7 +145,6 @@ mod tests {
         assert!(csv.starts_with("name,layer,algo"));
         assert!(csv.contains("L0:conv,0,direct,1000,250,100,4.0000,10.0000,16.0"));
 
-        assert_eq!(rows_on(&t, track).len(), 1);
         assert!(rows_on(&t, TrackId::new(9, 9)).is_empty());
     }
 }

@@ -11,7 +11,7 @@
 //! * [`forest`] — the random-forest algorithm selector,
 //! * [`area`] — the 7 nm area model and Pareto utilities,
 //! * [`serving`] — the model-serving co-location simulation,
-//! * [`bench`] — the experiment harness behind every paper figure,
+//! * [`bench`](mod@bench) — the experiment harness behind every paper figure,
 //! * [`check`] — the differential conformance harness (f64 oracles,
 //!   derived tolerances, shape fuzzer) behind `repro check`.
 //!

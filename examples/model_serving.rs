@@ -11,7 +11,7 @@ use lvconv::area::chip_area_mm2;
 use lvconv::conv::ALL_ALGOS;
 use lvconv::models::{measure_layer, zoo};
 use lvconv::serving::{partition_l2, EngineConfig, ServingEngine};
-use lvconv::sim::MachineConfig;
+use lvconv::sim::{MachineConfig, CLOCK_HZ};
 
 fn main() {
     let scale: f64 = std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(0.2);
@@ -45,7 +45,7 @@ fn main() {
                     .unwrap()
             })
             .sum();
-        let service_s = cycles as f64 / 2e9;
+        let service_s = cycles as f64 / CLOCK_HZ;
         let capacity = replicas as f64 / service_s;
         let rep =
             ServingEngine::new(EngineConfig::basic(replicas, service_s, 0.7 * capacity, 5000, 11))

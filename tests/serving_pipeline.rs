@@ -14,6 +14,7 @@ use lvconv::bench::trace::TraceCtx;
 use lvconv::conv::{Algo, ALL_ALGOS};
 use lvconv::forest::{ForestParams, RandomForest};
 use lvconv::serving::{partition_l2, BatchPolicy, EngineConfig, RequestClass, ServingEngine};
+use lvconv::sim::CLOCK_HZ;
 use lvconv::tensor::ConvShape;
 
 /// The serving config under test: 2 replicas of a 1024-bit core, 8 MiB
@@ -63,8 +64,8 @@ fn grid_to_selector_to_serving_pipeline() {
     let picks = forest.predict_batch(&feats);
     assert_eq!(picks.len(), shapes.len());
 
-    // Per-policy network service time at 2 GHz.
-    let secs = |cycles: u64| cycles as f64 / 2e9;
+    // Per-policy network service time at the simulated clock.
+    let secs = |cycles: u64| cycles as f64 / CLOCK_HZ;
     let stack = |pol: Option<Algo>| -> u64 {
         shapes
             .iter()
