@@ -12,10 +12,11 @@ use crate::chart::{hbar_chart, table};
 use crate::cli::CliSpec;
 use crate::error::BenchError;
 use crate::grid::{
-    self, policy_cycles, results_dir, table1_layers, GridRow, P1_L2S, P1_VLENS, P2_L2S, P2_VLENS,
+    self, results_dir, rows_total, stack_cycles, table1_layers, GridRow, P1_L2S, P1_VLENS, P2_L2S,
+    P2_VLENS,
 };
 use crate::plan::{self, Executor, Model, SweepPlan};
-use crate::selector::{evaluate_selector, predicted_cycles, SelectorEval};
+use crate::selector::{evaluate_selector, predicted_stack_cycles, SelectorEval};
 use crate::trace::TraceCtx;
 
 /// Seconds at the simulated clock ([`CLOCK_HZ`]).
@@ -415,8 +416,6 @@ fn selector_report(rows: &[GridRow]) -> String {
 
 fn fig9_10(rows: &[GridRow], model: &str, id: &str) -> Result<String, BenchError> {
     let eval = selector_eval(rows);
-    let layers: Vec<usize> =
-        table1_layers(1.0).into_iter().filter(|(m, _, _)| m == model).map(|(_, l, _)| l).collect();
     let policies: Vec<(String, Option<Algo>)> = vec![
         ("Direct".into(), Some(Algo::Direct)),
         ("im2col+GEMM-3loops".into(), Some(Algo::Gemm3)),
@@ -430,6 +429,7 @@ fn fig9_10(rows: &[GridRow], model: &str, id: &str) -> Result<String, BenchError
         if model == "vgg16" { 9 } else { 10 }
     );
     let mut csv = String::from("vlen_bits,l2_mib,policy,seconds\n");
+    let mut table_rows = Vec::new();
     let mut ratios_best_single = Vec::new();
     let mut pred_errs = Vec::new();
     for &vlen in &P2_VLENS {
@@ -437,23 +437,13 @@ fn fig9_10(rows: &[GridRow], model: &str, id: &str) -> Result<String, BenchError
             let mut cells = vec![format!("{vlen}b x {l2}MB")];
             let mut totals = Vec::new();
             for (name, pol) in &policies {
-                let total: u64 = layers
-                    .iter()
-                    .map(|&l| policy_cycles(rows, model, l, vlen, l2, *pol).unwrap_or(0))
-                    .sum();
+                let total = stack_cycles(rows, model, vlen, l2, *pol);
                 totals.push(total);
                 cells.push(format!("{:.4}", secs(total)));
                 let _ = writeln!(csv, "{vlen},{l2},{name},{:.6}", secs(total));
             }
             // Predicted-optimal policy from the cross-validated forest.
-            let pred_total: u64 = layers
-                .iter()
-                .map(|&l| {
-                    predicted_cycles(rows, &eval.predictions, model, l, vlen, l2)
-                        .or_else(|| policy_cycles(rows, model, l, vlen, l2, None))
-                        .unwrap_or(0)
-                })
-                .sum();
+            let pred_total = predicted_stack_cycles(rows, &eval.predictions, model, vlen, l2);
             cells.push(format!("{:.4}", secs(pred_total)));
             let _ = writeln!(csv, "{vlen},{l2},Predicted,{:.6}", secs(pred_total));
             let optimal = totals[4];
@@ -464,10 +454,8 @@ fn fig9_10(rows: &[GridRow], model: &str, id: &str) -> Result<String, BenchError
             ));
             pred_errs.push((pred_total as f64 - optimal as f64) / optimal as f64);
             cells.push(format!("{:.2}x", best_single as f64 / optimal as f64));
-            let mut row = cells;
-            row.push(format!("{:.1}%", 100.0 * pred_errs.last().unwrap()));
-            // keep
-            outpush(&mut out, row);
+            cells.push(format!("{:.1}%", 100.0 * pred_errs.last().unwrap()));
+            table_rows.push(cells);
         }
     }
     let header = [
@@ -481,11 +469,7 @@ fn fig9_10(rows: &[GridRow], model: &str, id: &str) -> Result<String, BenchError
         "best-single/opt",
         "pred-err",
     ];
-    out = format!(
-        "{}{}",
-        out.lines().take(3).map(|l| format!("{l}\n")).collect::<String>(),
-        table(&header, &collect_rows(&out))
-    );
+    out.push_str(&table(&header, &table_rows));
     let (max_vs_direct, max_vs_gemm6) = ratios_best_single
         .iter()
         .fold((f64::MIN, f64::MIN), |(a, b), &(x, y)| (a.max(x), b.max(y)));
@@ -502,29 +486,12 @@ fn fig9_10(rows: &[GridRow], model: &str, id: &str) -> Result<String, BenchError
     Ok(out)
 }
 
-// Helpers to build the fig9/10 table without fighting the borrow checker:
-// rows are staged as tab-joined lines inside the report buffer, then
-// collected.
-fn outpush(out: &mut String, cells: Vec<String>) {
-    out.push('\u{1}');
-    out.push_str(&cells.join("\t"));
-    out.push('\n');
-}
-
-fn collect_rows(out: &str) -> Vec<Vec<String>> {
-    out.lines()
-        .filter(|l| l.starts_with('\u{1}'))
-        .map(|l| l[1..].split('\t').map(|s| s.to_string()).collect())
-        .collect()
-}
-
 // ------------------------------------------------------------- Fig 11
 
 fn fig11(rows: &[GridRow]) -> Result<String, BenchError> {
     use lv_area::{chip_area_mm2, pareto_frontier, pareto_knee, DesignPoint};
     let eval = selector_eval(rows);
     let model = "vgg16";
-    let layers: Vec<usize> = (1..=13).collect();
     let mut pts = Vec::new();
     let mut policies: Vec<(String, Option<Algo>)> = ALL_ALGOS
         .iter()
@@ -540,24 +507,13 @@ fn fig11(rows: &[GridRow]) -> Result<String, BenchError> {
         for &l2 in &P2_L2S {
             let area = chip_area_mm2(1, vlen, l2);
             for (name, pol) in &policies {
-                let total: u64 = layers
-                    .iter()
-                    .map(|&l| policy_cycles(rows, model, l, vlen, l2, *pol).unwrap_or(0))
-                    .sum();
                 pts.push(DesignPoint {
                     label: format!("{vlen}b x {l2}MB, {name}"),
                     area,
-                    cost: total as f64,
+                    cost: stack_cycles(rows, model, vlen, l2, *pol) as f64,
                 });
             }
-            let pred: u64 = layers
-                .iter()
-                .map(|&l| {
-                    predicted_cycles(rows, &eval.predictions, model, l, vlen, l2)
-                        .or_else(|| policy_cycles(rows, model, l, vlen, l2, None))
-                        .unwrap_or(0)
-                })
-                .sum();
+            let pred = predicted_stack_cycles(rows, &eval.predictions, model, vlen, l2);
             pts.push(DesignPoint {
                 label: format!("{vlen}b x {l2}MB, Predicted"),
                 area,
@@ -605,8 +561,6 @@ fn fig11(rows: &[GridRow]) -> Result<String, BenchError> {
 fn fig12(rows: &[GridRow]) -> Result<String, BenchError> {
     use lv_area::{chip_area_mm2, pareto_frontier, DesignPoint};
     use lv_serving::{colocated_throughput, partition_l2};
-    let model = "vgg16";
-    let layers: Vec<usize> = (1..=13).collect();
     let mut out = String::from(
         "fig12: throughput-area tradeoff, co-located VGG-16 instances on a multicore RVV chip at 7 nm\n\
          (Paper II Fig. 12; per-layer Optimal algorithm, CAT-style equal L2 partitions)\n\n",
@@ -620,10 +574,7 @@ fn fig12(rows: &[GridRow]) -> Result<String, BenchError> {
         for &vlen in &P2_VLENS {
             for &shared_l2 in &[1usize, 4, 16, 64, 256] {
                 let Some(part) = partition_l2(shared_l2, cores, &P2_L2S) else { continue };
-                let cycles: u64 = layers
-                    .iter()
-                    .map(|&l| policy_cycles(rows, model, l, vlen, part, None).unwrap_or(0))
-                    .sum();
+                let cycles = stack_cycles(rows, "vgg16", vlen, part, None);
                 if cycles == 0 {
                     continue;
                 }
@@ -672,42 +623,20 @@ fn fig12(rows: &[GridRow]) -> Result<String, BenchError> {
 
 // ------------------------------------------------------ Paper I extras
 
-fn p1_model_total(
-    rows: &[GridRow],
-    model: &str,
-    vlen: usize,
-    l2: usize,
-    lanes: Option<usize>,
-) -> Option<u64> {
-    let sel: Vec<&GridRow> = rows
-        .iter()
-        .filter(|r| {
-            r.model == model
-                && r.vlen_bits == vlen
-                && r.l2_mib == l2
-                && lanes.is_none_or(|n| r.lanes == n)
-        })
-        .collect();
-    if sel.is_empty() {
-        return None;
-    }
-    Some(sel.iter().map(|r| r.cycles).sum())
-}
-
 fn p1_vl(rows: &[GridRow]) -> String {
     let mut out = String::from(
         "p1-vl: YOLOv3(20) on the decoupled RISC-VV machine, 3-loop GEMM, L2 = 1 MiB (Paper I Fig. 6)\n\n",
     );
-    let base = p1_model_total(rows, "yolov3-20/dec", 512, 1, None).unwrap_or(1);
+    let base = rows_total(rows, "yolov3-20/dec", 512, 1).unwrap_or(1);
     let mut bars = Vec::new();
     for &vl in &P1_VLENS {
-        if let Some(c) = p1_model_total(rows, "yolov3-20/dec", vl, 1, None) {
+        if let Some(c) = rows_total(rows, "yolov3-20/dec", vl, 1) {
             bars.push((format!("{vl}b ({:.2}x)", base as f64 / c as f64), secs(c)));
         }
     }
     out.push_str(&hbar_chart("execution time", &bars, 40, "s"));
-    let c8192 = p1_model_total(rows, "yolov3-20/dec", 8192, 1, None).unwrap_or(1);
-    let c16384 = p1_model_total(rows, "yolov3-20/dec", 16384, 1, None).unwrap_or(1);
+    let c8192 = rows_total(rows, "yolov3-20/dec", 8192, 1).unwrap_or(1);
+    let c16384 = rows_total(rows, "yolov3-20/dec", 16384, 1).unwrap_or(1);
     let _ = writeln!(
         out,
         "\n8192b -> 16384b gain at 1 MiB: {:.1}% (paper: performance saturates beyond 8192-bit)",
@@ -744,10 +673,10 @@ fn p1_cache(rows: &[GridRow]) -> String {
     );
     let mut trows = Vec::new();
     for &vl in &P1_VLENS {
-        let Some(base) = p1_model_total(rows, "yolov3-20/dec", vl, 1, None) else { continue };
+        let Some(base) = rows_total(rows, "yolov3-20/dec", vl, 1) else { continue };
         let mut cells = vec![format!("{vl}b")];
         for &l2 in &P1_L2S {
-            match p1_model_total(rows, "yolov3-20/dec", vl, l2, None) {
+            match rows_total(rows, "yolov3-20/dec", vl, l2) {
                 Some(c) => cells.push(format!("{:.2}x", base as f64 / c as f64)),
                 None => cells.push("-".into()),
             }
@@ -755,10 +684,10 @@ fn p1_cache(rows: &[GridRow]) -> String {
         trows.push(cells);
     }
     out.push_str(&table(&["vlen", "1MB", "16MB", "64MB", "256MB"], &trows));
-    let c8 = p1_model_total(rows, "yolov3-20/dec", 8192, 256, None).unwrap_or(1);
-    let c16 = p1_model_total(rows, "yolov3-20/dec", 16384, 256, None).unwrap_or(1);
-    let base512 = p1_model_total(rows, "yolov3-20/dec", 512, 1, None).unwrap_or(1);
-    let best = p1_model_total(rows, "yolov3-20/dec", 16384, 256, None).unwrap_or(1);
+    let c8 = rows_total(rows, "yolov3-20/dec", 8192, 256).unwrap_or(1);
+    let c16 = rows_total(rows, "yolov3-20/dec", 16384, 256).unwrap_or(1);
+    let base512 = rows_total(rows, "yolov3-20/dec", 512, 1).unwrap_or(1);
+    let best = rows_total(rows, "yolov3-20/dec", 16384, 256).unwrap_or(1);
     let _ = writeln!(
         out,
         "\n8192b -> 16384b gain at 256 MiB: {:.1}% (paper: ~5%)\n\
@@ -775,11 +704,10 @@ fn p1_lanes(rows: &[GridRow]) -> String {
     );
     let mut trows = Vec::new();
     for &vl in &[512usize, 2048, 8192] {
-        let base = p1_model_total(rows, &format!("yolov3-20/dec/l{}", 2), vl, 1, Some(2));
-        let Some(base) = base else { continue };
+        let Some(base) = rows_total(rows, "yolov3-20/dec/l2", vl, 1) else { continue };
         let mut cells = vec![format!("{vl}b")];
         for &lanes in &[2usize, 4, 8] {
-            match p1_model_total(rows, &format!("yolov3-20/dec/l{lanes}"), vl, 1, Some(lanes)) {
+            match rows_total(rows, &format!("yolov3-20/dec/l{lanes}"), vl, 1) {
                 Some(c) => cells.push(format!("{:.2}x", base as f64 / c as f64)),
                 None => cells.push("-".into()),
             }
@@ -802,10 +730,10 @@ fn p1_winograd(rows: &[GridRow]) -> String {
         let _ = writeln!(out, "{model}:");
         let mut trows = Vec::new();
         for &vl in &[512usize, 1024, 2048] {
-            let Some(base) = p1_model_total(rows, model, vl, 1, None) else { continue };
+            let Some(base) = rows_total(rows, model, vl, 1) else { continue };
             let mut cells = vec![format!("{vl}b")];
             for &l2 in &P1_L2S {
-                match p1_model_total(rows, model, vl, l2, None) {
+                match rows_total(rows, model, vl, l2) {
                     Some(c) => cells.push(format!("{:.2}x", base as f64 / c as f64)),
                     None => cells.push("-".into()),
                 }
@@ -814,7 +742,7 @@ fn p1_winograd(rows: &[GridRow]) -> String {
         }
         out.push_str(&table(&["vlen", "1MB", "16MB", "64MB", "256MB"], &trows));
         if let (Some(b), Some(c)) =
-            (p1_model_total(rows, model, 512, 1, None), p1_model_total(rows, model, 2048, 1, None))
+            (rows_total(rows, model, 512, 1), rows_total(rows, model, 2048, 1))
         {
             let _ = writeln!(
                 out,
@@ -834,7 +762,7 @@ fn p1_pareto(rows: &[GridRow]) -> String {
     let mut pts = Vec::new();
     for &vl in &P1_VLENS[..5] {
         for &l2 in &P1_L2S {
-            if let Some(c) = p1_model_total(rows, "yolov3-20/dec", vl, l2, None) {
+            if let Some(c) = rows_total(rows, "yolov3-20/dec", vl, l2) {
                 pts.push(DesignPoint {
                     label: format!("{vl}b x {l2}MB"),
                     area: chip_area_mm2(1, vl, l2),
@@ -999,8 +927,7 @@ fn p1_roofline(scale: f64) -> String {
         }
         let meas = measure_layer(&cfg, &s, Algo::Gemm6).expect("gemm applies");
         let fpc = meas.stats.flops_per_cycle();
-        let line_bytes = cfg.l2.line_bytes;
-        let bw_util = meas.stats.dram_bytes_per_cycle(line_bytes) / cfg.peak_dram_bytes_per_cycle();
+        let bw_util = meas.stats.dram_bytes_per_cycle() / cfg.peak_dram_bytes_per_cycle();
         trows.push(vec![
             format!("L{layer}"),
             mm.to_string(),
@@ -1188,7 +1115,7 @@ fn ablation_fft(scale: f64) -> String {
 fn ablation_contention(scale: f64) -> String {
     use lv_conv::{prepare_weights, run_conv, Algo};
     use lv_serving::contention::replay;
-    use lv_sim::{CacheGeometry, Machine, MachineConfig, MIB};
+    use lv_sim::{CacheGeometry, Machine, MachineConfig, COST, MIB};
     use lv_tensor::{pseudo_buf, pseudo_weights};
     let s = table1_layers(scale * 0.5)
         .into_iter()
@@ -1209,10 +1136,9 @@ fn ablation_contention(scale: f64) -> String {
     };
     let (t1, cycles1) = record(1);
     let (t2, _) = record(101);
-    let shared = CacheGeometry { size_bytes: 4 * MIB, ways: 8, line_bytes: 64 };
+    let shared = CacheGeometry { size_bytes: 4 * MIB, ways: 8 };
     let rep = replay(&[t1, t2], shared);
-    let penalty = 23; // mem_line - l2_line of the default cost model
-    let extra = rep.est_extra_cycles(penalty);
+    let extra = rep.est_extra_cycles(COST.mem_line - COST.l2_line);
     let mut out = format!(
         "ablation-contention: two co-located VGG-16 L5 tenants (3-loop GEMM, scale {:.2}),\n\
          4 MiB shared L2 vs 2 x 2 MiB CAT partitions, trace-replay model\n\n",
@@ -1287,17 +1213,6 @@ fn ablation_unroll(scale: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::ExecOptions;
-    use lv_tensor::ConvShape;
-
-    #[test]
-    fn fig_row_staging_roundtrip() {
-        let mut out = String::new();
-        outpush(&mut out, vec!["a".into(), "b".into()]);
-        outpush(&mut out, vec!["c".into(), "d".into()]);
-        let rows = collect_rows(&out);
-        assert_eq!(rows, vec![vec!["a", "b"], vec!["c", "d"]]);
-    }
 
     #[test]
     fn table1_report_contains_all_layers() {
@@ -1305,18 +1220,5 @@ mod tests {
         assert!(r.contains("vgg16"));
         assert!(r.contains("yolov3-20"));
         assert_eq!(r.lines().count(), 2 + 1 + 28); // title + header + sep + rows
-    }
-
-    #[test]
-    fn p1_model_total_filters() {
-        let plan = SweepPlan::new("t")
-            .layer("x", 1, ConvShape::same_pad(2, 4, 8, 3, 1))
-            .suffix("/dec")
-            .decoupled()
-            .algo(Algo::Gemm3);
-        let exec = Executor::new(ExecOptions { no_cache: true, ..Default::default() });
-        let rows = exec.run(&plan, &TraceCtx::disabled()).expect("uncached run").rows;
-        assert!(p1_model_total(&rows, "x/dec", 512, 1, None).is_some());
-        assert!(p1_model_total(&rows, "x/dec", 1024, 1, None).is_none());
     }
 }

@@ -34,7 +34,7 @@ use lv_sim::CLOCK_HZ;
 use crate::chart::table;
 use crate::error::BenchError;
 use crate::figures::write_result;
-use crate::grid::{policy_cycles, GridRow, P2_L2S};
+use crate::grid::{stack_cycles, P2_L2S};
 use crate::plan::{Executor, Model, SweepPlan};
 use crate::trace::{TraceCtx, PID_FLEET};
 
@@ -60,16 +60,6 @@ pub(crate) fn replica_l2(shared_l2: usize, replicas: usize) -> usize {
         .expect("menu shared L2 / replicas lands on a measured partition")
 }
 
-/// Optimal-policy conv-stack seconds of `model` at (vlen, per-replica L2).
-fn stack_seconds(rows: &[GridRow], model: &str, vlen: usize, l2: usize) -> f64 {
-    let cycles: u64 = crate::grid::table1_layers(1.0)
-        .iter()
-        .filter(|(m, _, _)| m == model)
-        .map(|(_, l, _)| policy_cycles(rows, model, *l, vlen, l2, None).unwrap_or(0))
-        .sum();
-    cycles as f64 / CLOCK_HZ
-}
-
 /// Per-class Optimal stack seconds at one (vlen, per-replica L2) point,
 /// measured through the shared executor as plan `id`: a two-model,
 /// one-config subset of the Paper II grid. Capacity planning only ranks
@@ -92,7 +82,7 @@ pub(crate) fn class_service_s(
         .algos(&ALL_ALGOS)
         .backend(lv_models::BackendKind::Fast);
     let rows = exec.run(&plan, ctx)?.rows;
-    Ok(CLASSES.iter().map(|m| stack_seconds(&rows, m, vlen, l2)).collect())
+    Ok(CLASSES.iter().map(|m| stack_cycles(&rows, m, vlen, l2, None) as f64 / CLOCK_HZ).collect())
 }
 
 /// Measure the chip menu as plans `<artifact>-<chip>`: each chip's

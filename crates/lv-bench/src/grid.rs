@@ -119,9 +119,38 @@ pub fn policy_cycles(
     }
 }
 
+/// Conv-stack cycles of `model` at one config under a selection policy:
+/// [`policy_cycles`] summed over the model's Table-1 layers, a missing
+/// layer counting 0.
+pub fn stack_cycles(
+    rows: &[GridRow],
+    model: &str,
+    vlen: usize,
+    l2: usize,
+    policy: Option<Algo>,
+) -> u64 {
+    table1_layers(1.0)
+        .iter()
+        .filter(|(m, _, _)| m == model)
+        .map(|(_, l, _)| policy_cycles(rows, model, *l, vlen, l2, policy).unwrap_or(0))
+        .sum()
+}
+
+/// Cycles of every row of `model` at one config summed, or `None` when
+/// it has no row. A Paper I plan measures one algorithm per layer and
+/// tags each lane count's model name (`/l{n}`), so this is the stack
+/// total of that plan's kernel choice.
+pub fn rows_total(rows: &[GridRow], model: &str, vlen: usize, l2: usize) -> Option<u64> {
+    rows.iter()
+        .filter(|r| r.model == model && r.vlen_bits == vlen && r.l2_mib == l2)
+        .fold(None, |sum, r| Some(sum.unwrap_or(0) + r.cycles))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::{ExecOptions, Executor, SweepPlan};
+    use crate::trace::TraceCtx;
 
     #[test]
     fn table1_has_28_layers() {
@@ -133,23 +162,44 @@ mod tests {
 
     #[test]
     fn winograd_policy_falls_back() {
-        // Build a tiny fake grid with only a Gemm6 row for a 1x1 layer.
-        let r = GridRow {
-            model: "m".into(),
-            layer: 1,
+        // A tiny fake grid: only a Gemm6 row for VGG-16's first layer and a
+        // Winograd row for its second; the other eleven layers are missing.
+        let row = |layer: usize, algo: Algo, cycles: u64| GridRow {
+            model: "vgg16".into(),
+            layer,
             shape: ConvShape::same_pad(4, 4, 8, 1, 1),
             vpu: VpuStyle::Integrated,
             lanes: 8,
             vlen_bits: 512,
             l2_mib: 1,
-            algo: Algo::Gemm6,
-            cycles: 1234,
+            algo,
+            cycles,
             avg_vl: 16.0,
             l2_miss_rate: 0.5,
         };
-        let rows = vec![r];
-        assert_eq!(policy_cycles(&rows, "m", 1, 512, 1, Some(Algo::Winograd)), Some(1234));
-        assert_eq!(policy_cycles(&rows, "m", 1, 512, 1, None), Some(1234));
-        assert_eq!(policy_cycles(&rows, "m", 1, 512, 1, Some(Algo::Direct)), None);
+        let rows = vec![row(1, Algo::Gemm6, 1234), row(2, Algo::Winograd, 100)];
+        assert_eq!(policy_cycles(&rows, "vgg16", 1, 512, 1, Some(Algo::Winograd)), Some(1234));
+        assert_eq!(policy_cycles(&rows, "vgg16", 1, 512, 1, None), Some(1234));
+        assert_eq!(policy_cycles(&rows, "vgg16", 1, 512, 1, Some(Algo::Direct)), None);
+        // Stack totals: Winograd* falls back per layer, a missing layer
+        // counts 0.
+        assert_eq!(stack_cycles(&rows, "vgg16", 512, 1, Some(Algo::Winograd)), 1334);
+        assert_eq!(stack_cycles(&rows, "vgg16", 512, 1, None), 1334);
+        assert_eq!(stack_cycles(&rows, "vgg16", 512, 1, Some(Algo::Gemm6)), 1234);
+        assert_eq!(stack_cycles(&rows, "vgg16", 512, 1, Some(Algo::Direct)), 0);
+        assert_eq!(stack_cycles(&rows, "vgg16", 1024, 1, None), 0);
+    }
+
+    #[test]
+    fn rows_total_filters() {
+        let plan = SweepPlan::new("t")
+            .layer("x", 1, ConvShape::same_pad(2, 4, 8, 3, 1))
+            .suffix("/dec")
+            .decoupled()
+            .algo(Algo::Gemm3);
+        let exec = Executor::new(ExecOptions { no_cache: true, ..Default::default() });
+        let rows = exec.run(&plan, &TraceCtx::disabled()).expect("uncached run").rows;
+        assert!(rows_total(&rows, "x/dec", 512, 1).is_some());
+        assert!(rows_total(&rows, "x/dec", 1024, 1).is_none());
     }
 }

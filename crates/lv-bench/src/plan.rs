@@ -32,7 +32,7 @@ use std::sync::Mutex;
 
 use lv_conv::{Algo, ALL_ALGOS};
 use lv_models::{BackendKind, CellMetrics};
-use lv_sim::{fnv1a, MachineConfig, TrackId, MIB};
+use lv_sim::{fnv1a, MachineConfig, TrackId, VpuStyle, MIB};
 use lv_tensor::ConvShape;
 use rayon::prelude::*;
 
@@ -288,21 +288,20 @@ impl SweepPlan {
         } else {
             self.lanes.iter().map(|&n| Some(n)).collect()
         };
+        let vpu = if self.decoupled { VpuStyle::Decoupled } else { VpuStyle::Integrated };
         let mut cells = Vec::new();
         for (model, layer, shape) in &layer_list {
             for &vlen in &self.vlens {
                 for &l2 in &self.l2s {
                     for &lane in &lanes {
-                        let mut b = MachineConfig::builder().vlen_bits(vlen).l2_mib(l2);
-                        if self.decoupled {
-                            b = b.decoupled();
-                        }
+                        let mut cfg =
+                            MachineConfig { vpu, ..MachineConfig::rvv_integrated(vlen, l2) };
                         if let Some(n) = lane {
-                            b = b.lanes(n);
+                            cfg.lanes = n;
                         }
-                        let cfg = b.build().unwrap_or_else(|e| {
-                            panic!("plan {}: invalid design point: {e}", self.id)
-                        });
+                        if let Err(e) = cfg.validate() {
+                            panic!("plan {}: invalid design point: {e}", self.id);
+                        }
                         let mut name = format!("{model}{}", self.suffix);
                         if self.tag_lanes {
                             if let Some(n) = lane {

@@ -11,7 +11,7 @@ use lv_forest::{
 use lv_tensor::ConvShape;
 use serde::{Deserialize, Serialize};
 
-use crate::grid::{find, GridRow, P2_L2S, P2_VLENS};
+use crate::grid::{find, policy_cycles, table1_layers, GridRow, P2_L2S, P2_VLENS};
 
 /// The paper's tuned forest hyperparameters (they "tune the
 /// hyperparameters of the Random Forest classifier": depth 10 with
@@ -161,6 +161,27 @@ pub fn predicted_cycles(
     let key = PointKey { model: model.to_string(), layer, vlen, l2 };
     let algo = preds.get(&key).copied()?;
     crate::grid::policy_cycles(rows, model, layer, vlen, l2, Some(algo))
+}
+
+/// Conv-stack cycles of `model` at one config under the "Predicted
+/// Optimal" policy: each Table-1 layer runs its predicted algorithm and
+/// falls back to the layer's Optimal; a missing layer counts 0.
+pub fn predicted_stack_cycles(
+    rows: &[GridRow],
+    preds: &HashMap<PointKey, Algo>,
+    model: &str,
+    vlen: usize,
+    l2: usize,
+) -> u64 {
+    table1_layers(1.0)
+        .iter()
+        .filter(|(m, _, _)| m == model)
+        .map(|(_, l, _)| {
+            predicted_cycles(rows, preds, model, *l, vlen, l2)
+                .or_else(|| policy_cycles(rows, model, *l, vlen, l2, None))
+                .unwrap_or(0)
+        })
+        .sum()
 }
 
 #[cfg(test)]

@@ -24,8 +24,8 @@ use lv_sim::CLOCK_HZ;
 use crate::chart::table;
 use crate::error::BenchError;
 use crate::figures::write_result;
-use crate::grid::{policy_cycles, table1_layers, GridRow, P2_L2S};
-use crate::selector::{evaluate_selector, predicted_cycles, tuned_params, SelectorEval};
+use crate::grid::{stack_cycles, table1_layers, GridRow, P2_L2S};
+use crate::selector::{evaluate_selector, predicted_stack_cycles, tuned_params, SelectorEval};
 use crate::trace::{TraceCtx, PID_SERVING};
 
 /// Model replicas co-located on the chip (one per core, as in Fig. 12).
@@ -52,39 +52,23 @@ pub struct ModelService {
     pub predicted_s: f64,
 }
 
-/// Sum the conv-stack cycles of `model` under a fixed policy (or the
-/// selector's predictions) at the serving chip's (vlen, per-replica L2).
-fn stack_seconds(
-    rows: &[GridRow],
-    eval: &SelectorEval,
-    model: &str,
-    l2_mib: usize,
-    policy: Option<Option<Algo>>,
-) -> f64 {
-    let cycles: u64 = table1_layers(1.0)
-        .iter()
-        .filter(|(m, _, _)| m == model)
-        .map(|(_, l, _)| match policy {
-            Some(pol) => policy_cycles(rows, model, *l, VLEN_BITS, l2_mib, pol).unwrap_or(0),
-            None => predicted_cycles(rows, &eval.predictions, model, *l, VLEN_BITS, l2_mib)
-                .or_else(|| policy_cycles(rows, model, *l, VLEN_BITS, l2_mib, None))
-                .unwrap_or(0),
-        })
-        .sum();
-    cycles as f64 / CLOCK_HZ
-}
-
-/// Network service times for every model in the grid's Table 1 set.
+/// Network service times for every model in the grid's Table 1 set, at
+/// the serving chip's (vlen, per-replica L2).
 pub fn model_services(rows: &[GridRow], eval: &SelectorEval, l2_mib: usize) -> Vec<ModelService> {
     let mut models: Vec<String> = table1_layers(1.0).iter().map(|(m, _, _)| m.clone()).collect();
     models.dedup();
     models
         .into_iter()
-        .map(|model| ModelService {
-            direct_s: stack_seconds(rows, eval, &model, l2_mib, Some(Some(Algo::Direct))),
-            optimal_s: stack_seconds(rows, eval, &model, l2_mib, Some(None)),
-            predicted_s: stack_seconds(rows, eval, &model, l2_mib, None),
-            model,
+        .map(|model| {
+            let secs = |pol| stack_cycles(rows, &model, VLEN_BITS, l2_mib, pol) as f64 / CLOCK_HZ;
+            let predicted =
+                predicted_stack_cycles(rows, &eval.predictions, &model, VLEN_BITS, l2_mib);
+            ModelService {
+                direct_s: secs(Some(Algo::Direct)),
+                optimal_s: secs(None),
+                predicted_s: predicted as f64 / CLOCK_HZ,
+                model,
+            }
         })
         .collect()
 }

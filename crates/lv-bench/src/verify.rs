@@ -7,7 +7,7 @@
 use lv_conv::{Algo, ALL_ALGOS};
 
 use crate::error::BenchError;
-use crate::grid::{find, policy_cycles, table1_layers, GridRow, P2_L2S, P2_VLENS};
+use crate::grid::{find, rows_total, stack_cycles, table1_layers, P2_L2S, P2_VLENS};
 use crate::plan::{self, Executor};
 use crate::selector::{evaluate_selector, tuned_params};
 use crate::trace::TraceCtx;
@@ -52,14 +52,6 @@ fn band(value: f64, pass: (f64, f64), direction_ok: bool) -> Verdict {
     } else {
         Verdict::Fail
     }
-}
-
-fn model_total(rows: &[GridRow], model: &str, vlen: usize, l2: usize, pol: Option<Algo>) -> u64 {
-    table1_layers(1.0)
-        .iter()
-        .filter(|(m, _, _)| m == model)
-        .map(|(_, l, _)| policy_cycles(rows, model, *l, vlen, l2, pol).unwrap_or(0))
-        .sum()
 }
 
 /// Run every claim check against the Paper II grid (and the Paper I sweep
@@ -186,9 +178,9 @@ pub fn verify(scale: f64, exec: &Executor, ctx: &TraceCtx) -> Result<Vec<Claim>,
             let mut max_gain: f64 = 0.0;
             for &vlen in &P2_VLENS {
                 for &l2 in &P2_L2S {
-                    let opt = model_total(&rows, model, vlen, l2, None) as f64;
+                    let opt = stack_cycles(&rows, model, vlen, l2, None) as f64;
                     for a in ALL_ALGOS {
-                        let uni = model_total(&rows, model, vlen, l2, Some(a)) as f64;
+                        let uni = stack_cycles(&rows, model, vlen, l2, Some(a)) as f64;
                         if uni > 0.0 && opt > 0.0 {
                             max_gain = max_gain.max(uni / opt);
                         }
@@ -219,7 +211,7 @@ pub fn verify(scale: f64, exec: &Executor, ctx: &TraceCtx) -> Result<Vec<Claim>,
                     pts.push(DesignPoint {
                         label: format!("{vlen}|{l2}|{name}"),
                         area: chip_area_mm2(1, vlen, l2),
-                        cost: model_total(&rows, "vgg16", vlen, l2, pol) as f64,
+                        cost: stack_cycles(&rows, "vgg16", vlen, l2, pol) as f64,
                     });
                 }
             }
@@ -251,10 +243,7 @@ pub fn verify(scale: f64, exec: &Executor, ctx: &TraceCtx) -> Result<Vec<Claim>,
                 .find(|(m, l, _)| m == model && *l == layer)
                 .map(|(_, _, s)| s)?;
             let meas = measure_layer(&cfg, &s, Algo::Gemm6)?;
-            Some(
-                meas.stats.dram_bytes_per_cycle(cfg.l2.line_bytes)
-                    / cfg.peak_dram_bytes_per_cycle(),
-            )
+            Some(meas.stats.dram_bytes_per_cycle() / cfg.peak_dram_bytes_per_cycle())
         };
         if let (Some(early), Some(deep)) = (util("vgg16", 1), util("vgg16", 10)) {
             claims.push(Claim {
@@ -291,12 +280,8 @@ pub fn verify(scale: f64, exec: &Executor, ctx: &TraceCtx) -> Result<Vec<Claim>,
     };
     if p1_covered {
         let p1 = exec.run(&p1_plan, ctx)?.rows;
-        let total = |vlen: usize, l2: usize| -> u64 {
-            p1.iter()
-                .filter(|r| r.model == "yolov3-20/dec" && r.vlen_bits == vlen && r.l2_mib == l2)
-                .map(|r| r.cycles)
-                .sum()
-        };
+        let total =
+            |vlen: usize, l2: usize| rows_total(&p1, "yolov3-20/dec", vlen, l2).unwrap_or(0);
         let g8 = total(8192, 256) as f64;
         let g16 = total(16384, 256) as f64;
         if g8 > 0.0 && g16 > 0.0 {

@@ -205,22 +205,15 @@ pub fn fuzz_shapes(seed: u64, n: usize, deep: bool) -> Vec<ConvShape> {
 /// by the runner; the mix covers short and long vectors and both VPU
 /// styles (the decoupled style exercises the L1-bypass cache path).
 pub fn machine_points(deep: bool) -> Vec<(String, MachineConfig)> {
-    let mk = |vlen: usize, l2: usize, dec: bool| {
-        let mut b = MachineConfig::builder().vlen_bits(vlen).l2_mib(l2);
-        if dec {
-            b = b.decoupled();
-        }
-        b.build().expect("conformance machine points are valid design points")
-    };
     let mut v = vec![
-        ("int256".to_string(), mk(256, 1, false)),
-        ("int1024".to_string(), mk(1024, 1, false)),
-        ("dec512".to_string(), mk(512, 1, true)),
+        ("int256".to_string(), MachineConfig::rvv_integrated(256, 1)),
+        ("int1024".to_string(), MachineConfig::rvv_integrated(1024, 1)),
+        ("dec512".to_string(), MachineConfig::rvv_decoupled(512, 1)),
     ];
     if deep {
-        v.push(("int2048".to_string(), mk(2048, 2, false)));
-        v.push(("int4096".to_string(), mk(4096, 2, false)));
-        v.push(("dec2048".to_string(), mk(2048, 2, true)));
+        v.push(("int2048".to_string(), MachineConfig::rvv_integrated(2048, 2)));
+        v.push(("int4096".to_string(), MachineConfig::rvv_integrated(4096, 2)));
+        v.push(("dec2048".to_string(), MachineConfig::rvv_decoupled(2048, 2)));
     }
     v
 }

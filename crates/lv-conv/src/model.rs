@@ -16,7 +16,7 @@
 //! simulation".
 
 use lv_sim::fastmodel::{MemClass, Phase, Workload};
-use lv_sim::{MachineConfig, LINE_BYTES};
+use lv_sim::{MachineConfig, COST, LINE_BYTES};
 use lv_tensor::ConvShape;
 
 use crate::algo::Algo;
@@ -59,21 +59,15 @@ fn strided_lines(elems: u64, stride_elems: u64) -> u64 {
     }
 }
 
-/// Per-loop context: max VL in elements, arithmetic beat divisor, gather
-/// element rate.
+/// Per-loop context: max VL in elements, arithmetic beat divisor.
 struct Ctx {
     mvl: u64,
     epc: u64,
-    gepc: u64,
 }
 
 impl Ctx {
     fn new(cfg: &MachineConfig) -> Self {
-        Self {
-            mvl: cfg.vlen_elems() as u64,
-            epc: cfg.elems_per_cycle() as u64,
-            gepc: cfg.cost.gather_elems_per_cycle.max(1),
-        }
+        Self { mvl: cfg.vlen_elems() as u64, epc: cfg.elems_per_cycle() as u64 }
     }
 
     fn beats(&self, vl: u64) -> u64 {
@@ -81,7 +75,7 @@ impl Ctx {
     }
 
     fn gather(&self, vl: u64) -> u64 {
-        vl.div_ceil(self.gepc)
+        vl.div_ceil(COST.gather_elems_per_cycle.max(1))
     }
 }
 

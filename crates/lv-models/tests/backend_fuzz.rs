@@ -28,11 +28,8 @@ proptest! {
         stride in 1usize..3,
         pad in 0usize..2,
     ) {
-        let mut b = MachineConfig::builder().vlen_bits(1 << vlen_exp).l2_mib(1 << l2_exp);
-        if dec {
-            b = b.decoupled();
-        }
-        let cfg = b.build().expect("builder inputs are valid by construction");
+        let preset = if dec { MachineConfig::rvv_decoupled } else { MachineConfig::rvv_integrated };
+        let cfg = preset(1 << vlen_exp, 1 << l2_exp);
         let k = k.min(ihw + 2 * pad);
         let s = ConvShape { ic, ih: ihw, iw: ihw, oc, kh: k, kw: k, stride, pad };
         for &algo in &ALL_ALGOS {

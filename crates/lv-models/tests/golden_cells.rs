@@ -43,11 +43,11 @@ fn golden() -> Vec<(usize, usize, bool, ConvShape, Algo, u64)> {
 }
 
 fn config(vlen: usize, l2: usize, dec: bool) -> MachineConfig {
-    let mut b = MachineConfig::builder().vlen_bits(vlen).l2_mib(l2);
     if dec {
-        b = b.decoupled();
+        MachineConfig::rvv_decoupled(vlen, l2)
+    } else {
+        MachineConfig::rvv_integrated(vlen, l2)
     }
-    b.build().expect("golden configs are valid")
 }
 
 #[test]

@@ -13,7 +13,7 @@
 //! Tenants are distinct processes, so their address spaces are disjoint:
 //! each trace's lines are offset into a private region before replay.
 
-use lv_sim::{Cache, CacheGeometry};
+use lv_sim::{Cache, CacheGeometry, LINE_BYTES};
 use serde::{Deserialize, Serialize};
 
 /// Result of a contention replay.
@@ -105,17 +105,14 @@ pub fn replay(traces: &[Vec<(u64, u64)>], shared: CacheGeometry) -> ContentionRe
     }
 
     // (c) Partitioned: each tenant gets an equal slice.
-    let part = CacheGeometry {
-        size_bytes: (shared.size_bytes / n).max(shared.ways * shared.line_bytes),
-        ways: shared.ways,
-        line_bytes: shared.line_bytes,
-    };
+    let row = shared.ways * LINE_BYTES as usize;
+    let part = CacheGeometry { size_bytes: (shared.size_bytes / n).max(row), ways: shared.ways };
     // Keep the set count a power of two, rounding *down*: halving
     // `next_power_of_two()` would wrongly shrink counts that are already
     // powers of two (64 sets -> 32), giving each tenant half its slice.
-    let raw_sets = part.size_bytes / (part.ways * part.line_bytes);
+    let raw_sets = part.sets();
     let sets = if raw_sets.is_power_of_two() { raw_sets } else { raw_sets.next_power_of_two() / 2 };
-    let part = CacheGeometry { size_bytes: sets.max(1) * part.ways * part.line_bytes, ..part };
+    let part = CacheGeometry { size_bytes: sets.max(1) * row, ..part };
     let partitioned_misses = traces
         .iter()
         .enumerate()
@@ -139,7 +136,7 @@ mod tests {
     use super::*;
 
     fn geo(kib: usize) -> CacheGeometry {
-        CacheGeometry { size_bytes: kib * 1024, ways: 8, line_bytes: 64 }
+        CacheGeometry { size_bytes: kib * 1024, ways: 8 }
     }
 
     /// A streaming tenant touching `lines` distinct lines repeatedly,

@@ -57,7 +57,7 @@ impl NodeConfig {
     }
 
     /// Reject degenerate configurations with a typed error instead of
-    /// panicking mid-simulation (mirrors `MachineConfig::builder()`).
+    /// panicking mid-simulation (mirrors `MachineConfig::validate`).
     pub fn validate(&self) -> Result<(), ServingError> {
         if self.replicas == 0 {
             return Err(ServingError::NoReplicas);

@@ -2,7 +2,8 @@
 //!
 //! The model tracks tags only (the simulator keeps real data in host memory),
 //! which is all the timing model needs: it answers "would this line have hit?"
-//! and maintains access/miss counters.
+//! and maintains access/miss counters. It takes line numbers
+//! (byte address / [`LINE_BYTES`](crate::LINE_BYTES)), never byte addresses.
 
 use crate::config::CacheGeometry;
 
@@ -10,7 +11,6 @@ use crate::config::CacheGeometry;
 #[derive(Debug, Clone)]
 pub struct Cache {
     ways: usize,
-    line_shift: u32,
     set_mask: u64,
     /// `sets * ways` tags; within each set, index 0 is most-recently-used.
     /// A tag is the line number plus one, so 0 marks an empty way for every
@@ -28,27 +28,13 @@ impl Cache {
         let sets = geo.sets();
         assert!(geo.ways > 0, "cache must have at least one way");
         assert!(sets.is_power_of_two(), "cache sets must be a power of two (got {sets})");
-        assert!(geo.line_bytes.is_power_of_two());
         Self {
             ways: geo.ways,
-            line_shift: geo.line_bytes.trailing_zeros(),
             set_mask: (sets - 1) as u64,
             tags: vec![0u64; sets * geo.ways].into_boxed_slice(),
             accesses: 0,
             misses: 0,
         }
-    }
-
-    /// Line address (byte address >> line_shift) for a byte address.
-    #[inline]
-    pub fn line_of(&self, byte_addr: usize) -> u64 {
-        (byte_addr as u64) >> self.line_shift
-    }
-
-    /// Line size in bytes.
-    #[inline]
-    pub fn line_bytes(&self) -> usize {
-        1usize << self.line_shift
     }
 
     /// Access one line: returns `true` on hit. On miss the line is filled,
@@ -113,7 +99,7 @@ mod tests {
     use crate::config::CacheGeometry;
 
     fn tiny(ways: usize, sets: usize) -> Cache {
-        Cache::new(CacheGeometry { size_bytes: sets * ways * 64, ways, line_bytes: 64 })
+        Cache::new(CacheGeometry { size_bytes: sets * ways * 64, ways })
     }
 
     #[test]

@@ -19,33 +19,39 @@ pub enum VpuStyle {
     Decoupled,
 }
 
-/// Geometry of one cache level.
+/// Geometry of one cache level. Every level holds [`LINE_BYTES`] lines.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CacheGeometry {
     /// Total capacity in bytes.
     pub size_bytes: usize,
     /// Associativity (ways per set).
     pub ways: usize,
-    /// Cache line size in bytes.
-    pub line_bytes: usize,
 }
 
 impl CacheGeometry {
     /// Number of sets implied by the geometry.
     pub fn sets(&self) -> usize {
-        self.size_bytes / (self.ways * self.line_bytes)
+        self.size_bytes / (self.ways * LINE_BYTES as usize)
     }
 }
 
-/// Per-event cycle costs of the in-order timing model.
+/// Bytes per cache line, at both levels: the machine walks its memory
+/// operations in these lines, and the analytical tier
+/// ([`crate::fastmodel`]) and the kernels' workload models count lines
+/// with the same constant.
+pub const LINE_BYTES: u64 = 64;
+
+/// The fixed core's L1 data cache: 64 KiB, 4-way, as in the paper's gem5
+/// configuration. Only the integrated VPU and the scalar core use it.
+pub const L1: CacheGeometry = CacheGeometry { size_bytes: 64 * KIB, ways: 4 };
+
+/// Per-event cycle costs of the in-order timing model; [`COST`] is the
+/// one table both tiers charge.
 ///
 /// Every vector instruction costs `issue` plus a startup term plus a
 /// throughput term; memory instructions additionally pay per cache line
-/// touched, depending on where in the hierarchy the line hits. The defaults
-/// are calibrated so that the *ratios* the paper reports (vector-length
-/// scaling, cache-size scaling, algorithm crossovers) are reproduced; see
-/// `DESIGN.md` §4 for the substitution rationale.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+/// touched, depending on where in the hierarchy the line hits.
+#[derive(Debug, Clone, Copy)]
 pub struct CostModel {
     /// Front-end issue cost per (vector) instruction.
     pub issue: u64,
@@ -77,24 +83,30 @@ pub struct CostModel {
     pub vsetvl: u64,
 }
 
-impl Default for CostModel {
-    fn default() -> Self {
-        Self {
-            issue: 1,
-            arith_startup: 2,
-            mem_startup: 6,
-            l1_line: 1,
-            l2_line: 5,
-            mem_line: 28,
-            prefetch_discount: 3,
-            gather_elems_per_cycle: 4,
-            scalar_op: 1,
-            vsetvl: 1,
-        }
-    }
-}
+/// The fixed core's cycle costs, charged by the [`Machine`](crate::Machine)
+/// and priced by [`crate::fastmodel::evaluate`] and the kernels' workload
+/// models. The values are calibrated so that the *ratios* the paper
+/// reports (vector-length scaling, cache-size scaling, algorithm
+/// crossovers) are reproduced; see `DESIGN.md` §4 for the substitution
+/// rationale. Changing a value changes simulated cycles in both tiers, so
+/// it needs a [`crate::TIMING_REV`] bump.
+pub const COST: CostModel = CostModel {
+    issue: 1,
+    arith_startup: 2,
+    mem_startup: 6,
+    l1_line: 1,
+    l2_line: 5,
+    mem_line: 28,
+    prefetch_discount: 3,
+    gather_elems_per_cycle: 4,
+    scalar_op: 1,
+    vsetvl: 1,
+};
 
-/// Full machine configuration: one hardware design point.
+/// One hardware design point: the axes the co-design study sweeps. The
+/// core around them is fixed: [`COST`], [`L1`], [`LINE_BYTES`] and
+/// [`CLOCK_HZ`]. Build one from a preset plus field updates and check it
+/// with [`MachineConfig::validate`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct MachineConfig {
     /// Vector register length in bits (512 .. 16384, powers of two).
@@ -105,15 +117,11 @@ pub struct MachineConfig {
     pub lanes: usize,
     /// VPU attachment style (integrated vs decoupled).
     pub vpu: VpuStyle,
-    /// L1 data cache geometry (64 KiB, 4-way, 64 B lines in the paper).
-    pub l1: CacheGeometry,
     /// L2 cache geometry (1 MiB .. 256 MiB swept by the paper).
     pub l2: CacheGeometry,
     /// Whether software prefetch instructions take effect. The RISC-VV
     /// toolchain in the paper ignores them (`false`); A64FX honours them.
     pub sw_prefetch: bool,
-    /// Cycle cost model.
-    pub cost: CostModel,
 }
 
 /// The simulated core clock in Hz: every report converts cycles to
@@ -126,17 +134,15 @@ pub const MIB: usize = 1024 * 1024;
 pub const KIB: usize = 1024;
 
 impl MachineConfig {
-    /// The paper's Paper-II baseline: tightly integrated RVV unit, 512-bit
-    /// vectors, 8 lanes, 64 KiB L1, 1 MiB L2, no software prefetch.
+    /// The paper's Paper-II design points: tightly integrated RVV unit,
+    /// 8 lanes, an 8-way L2 of `l2_mib` MiB, no software prefetch.
     pub fn rvv_integrated(vlen_bits: usize, l2_mib: usize) -> Self {
         Self {
             vlen_bits,
             lanes: 8,
             vpu: VpuStyle::Integrated,
-            l1: CacheGeometry { size_bytes: 64 * KIB, ways: 4, line_bytes: 64 },
-            l2: CacheGeometry { size_bytes: l2_mib * MIB, ways: 8, line_bytes: 64 },
+            l2: CacheGeometry { size_bytes: l2_mib * MIB, ways: 8 },
             sw_prefetch: false,
-            cost: CostModel::default(),
         }
     }
 
@@ -150,7 +156,7 @@ impl MachineConfig {
     pub fn a64fx_like() -> Self {
         Self {
             sw_prefetch: true,
-            l2: CacheGeometry { size_bytes: 8 * MIB, ways: 16, line_bytes: 64 },
+            l2: CacheGeometry { size_bytes: 8 * MIB, ways: 16 },
             ..Self::rvv_integrated(512, 8)
         }
     }
@@ -173,12 +179,6 @@ impl MachineConfig {
         12.8e9 / CLOCK_HZ
     }
 
-    /// Start a validated [`MachineConfigBuilder`] from the paper's Paper-II
-    /// baseline (integrated VPU, 512-bit vectors, 8 lanes, 1 MiB L2).
-    pub fn builder() -> MachineConfigBuilder {
-        MachineConfigBuilder { cfg: Self::default() }
-    }
-
     /// Check every invariant the timing model (and the opt-in lint) relies
     /// on. [`Machine::try_new`](crate::Machine::try_new) calls this, so an
     /// invalid design point is rejected at construction instead of tripping
@@ -190,20 +190,15 @@ impl MachineConfig {
         if self.lanes == 0 || self.lanes > self.vlen_elems() {
             return Err(ConfigError::BadLanes { lanes: self.lanes, max: self.vlen_elems() });
         }
-        for (level, g) in [("L1", &self.l1), ("L2", &self.l2)] {
-            if g.size_bytes == 0 || g.ways == 0 || g.line_bytes == 0 {
-                return Err(ConfigError::ZeroCache { level });
-            }
-            // `Cache` indexes sets by masking line numbers, so the size must
-            // be a whole number of `ways x line` rows and the row count a
-            // power of two.
-            let row = g.ways * g.line_bytes;
-            if !g.line_bytes.is_power_of_two()
-                || g.size_bytes % row != 0
-                || !g.sets().is_power_of_two()
-            {
-                return Err(ConfigError::BadGeometry { level, geometry: *g });
-            }
+        let g = self.l2;
+        if g.size_bytes == 0 || g.ways == 0 {
+            return Err(ConfigError::ZeroCache);
+        }
+        // `Cache` indexes sets by masking line numbers, so the size must be
+        // a whole number of `ways x line` rows and the row count a power
+        // of two.
+        if g.size_bytes % (g.ways * LINE_BYTES as usize) != 0 || !g.sets().is_power_of_two() {
+            return Err(ConfigError::BadGeometry { geometry: g });
         }
         Ok(())
     }
@@ -213,25 +208,24 @@ impl MachineConfig {
     /// are behaviourally identical to the timing model iff their keys are
     /// equal — this (plus [`crate::TIMING_REV`]) is what content-addressed
     /// result caches hash, so it must stay stable across host platforms
-    /// and process runs (unlike `std::hash::Hash`). The fixed clock
-    /// ([`CLOCK_HZ`]) stays in the key as `ghz=2`, so cached cells keep
-    /// their addresses.
+    /// and process runs (unlike `std::hash::Hash`). The key also spells
+    /// out the fixed core ([`L1`], [`LINE_BYTES`], [`COST`] and the
+    /// [`CLOCK_HZ`] clock as `ghz=2`), so changing a constant readdresses
+    /// every cached cell.
     pub fn stable_key(&self) -> String {
-        let c = &self.cost;
+        let c = &COST;
         format!(
-            "vlen={};lanes={};vpu={};l1={}/{}/{};l2={}/{}/{};pf={};cost={},{},{},{},{},{},{},{},{},{};ghz={}",
+            "vlen={};lanes={};vpu={};l1={}/{}/{LINE_BYTES};l2={}/{}/{LINE_BYTES};pf={};cost={},{},{},{},{},{},{},{},{},{};ghz={}",
             self.vlen_bits,
             self.lanes,
             match self.vpu {
                 VpuStyle::Integrated => "int",
                 VpuStyle::Decoupled => "dec",
             },
-            self.l1.size_bytes,
-            self.l1.ways,
-            self.l1.line_bytes,
+            L1.size_bytes,
+            L1.ways,
             self.l2.size_bytes,
             self.l2.ways,
-            self.l2.line_bytes,
             u8::from(self.sw_prefetch),
             c.issue,
             c.arith_startup,
@@ -275,17 +269,12 @@ pub enum ConfigError {
         /// Largest valid count (VLEN in 32-bit elements).
         max: usize,
     },
-    /// A cache level has zero capacity, ways, or line size.
-    ZeroCache {
-        /// Which level ("L1" / "L2").
-        level: &'static str,
-    },
-    /// Size/ways/line do not describe a set-associative array the cache
-    /// model can index: the line or the set count is not a power of two,
-    /// or the size is not a whole number of sets.
+    /// The L2 has zero capacity or ways.
+    ZeroCache,
+    /// The L2's size and ways do not describe a set-associative array of
+    /// [`LINE_BYTES`] lines the cache model can index: the set count is not
+    /// a power of two, or the size is not a whole number of sets.
     BadGeometry {
-        /// Which level ("L1" / "L2").
-        level: &'static str,
         /// The offending geometry.
         geometry: CacheGeometry,
     },
@@ -310,13 +299,11 @@ impl fmt::Display for ConfigError {
             ConfigError::BadLanes { lanes, max } => {
                 write!(f, "lanes = {lanes}: must be in 1..={max} (VLEN/32)")
             }
-            ConfigError::ZeroCache { level } => {
-                write!(f, "{level} cache has a zero size, way count, or line size")
-            }
-            ConfigError::BadGeometry { level, geometry } => write!(
+            ConfigError::ZeroCache => write!(f, "L2 cache has a zero size or way count"),
+            ConfigError::BadGeometry { geometry } => write!(
                 f,
-                "{level} geometry {}B/{}-way/{}B-line does not form a set-associative array",
-                geometry.size_bytes, geometry.ways, geometry.line_bytes
+                "L2 geometry {}B/{}-way does not form a set-associative array of {LINE_BYTES}B lines",
+                geometry.size_bytes, geometry.ways
             ),
             ConfigError::EmptyGroup => write!(f, "a machine group needs at least one config"),
             ConfigError::GroupMismatch { member } => {
@@ -330,81 +317,6 @@ impl fmt::Display for ConfigError {
 }
 
 impl std::error::Error for ConfigError {}
-
-/// Builder for [`MachineConfig`] whose `build` validates the design point;
-/// see [`MachineConfig::validate`] for the rejected shapes.
-///
-/// ```
-/// use lv_sim::MachineConfig;
-/// let cfg = MachineConfig::builder().vlen_bits(4096).l2_mib(64).build().unwrap();
-/// assert_eq!(cfg.vlen_elems(), 128);
-/// assert!(MachineConfig::builder().vlen_bits(768).build().is_err());
-/// ```
-#[derive(Debug, Clone)]
-pub struct MachineConfigBuilder {
-    cfg: MachineConfig,
-}
-
-impl MachineConfigBuilder {
-    /// Vector register length in bits.
-    pub fn vlen_bits(mut self, v: usize) -> Self {
-        self.cfg.vlen_bits = v;
-        self
-    }
-
-    /// Number of physical vector lanes.
-    pub fn lanes(mut self, n: usize) -> Self {
-        self.cfg.lanes = n;
-        self
-    }
-
-    /// VPU attachment style.
-    pub fn vpu(mut self, style: VpuStyle) -> Self {
-        self.cfg.vpu = style;
-        self
-    }
-
-    /// Decoupled VPU (Paper I style), shorthand for `.vpu(VpuStyle::Decoupled)`.
-    pub fn decoupled(self) -> Self {
-        self.vpu(VpuStyle::Decoupled)
-    }
-
-    /// L2 capacity in MiB, keeping the default ways/line.
-    pub fn l2_mib(mut self, mib: usize) -> Self {
-        self.cfg.l2.size_bytes = mib * MIB;
-        self
-    }
-
-    /// Full L1 geometry.
-    pub fn l1(mut self, geometry: CacheGeometry) -> Self {
-        self.cfg.l1 = geometry;
-        self
-    }
-
-    /// Full L2 geometry.
-    pub fn l2(mut self, geometry: CacheGeometry) -> Self {
-        self.cfg.l2 = geometry;
-        self
-    }
-
-    /// Whether software prefetch instructions take effect.
-    pub fn sw_prefetch(mut self, on: bool) -> Self {
-        self.cfg.sw_prefetch = on;
-        self
-    }
-
-    /// Cycle cost model.
-    pub fn cost(mut self, cost: CostModel) -> Self {
-        self.cfg.cost = cost;
-        self
-    }
-
-    /// Validate and produce the config.
-    pub fn build(self) -> Result<MachineConfig, ConfigError> {
-        self.cfg.validate()?;
-        Ok(self.cfg)
-    }
-}
 
 impl Default for MachineConfig {
     fn default() -> Self {
@@ -424,86 +336,72 @@ mod tests {
 
     #[test]
     fn geometry_sets() {
-        let g = CacheGeometry { size_bytes: 64 * KIB, ways: 4, line_bytes: 64 };
-        assert_eq!(g.sets(), 256);
-    }
-
-    #[test]
-    fn builder_accepts_paper_design_points() {
-        let cfg = MachineConfig::builder().vlen_bits(4096).l2_mib(64).build().unwrap();
-        assert_eq!(cfg, MachineConfig::rvv_integrated(4096, 64));
-        let dec = MachineConfig::builder().vlen_bits(8192).l2_mib(256).decoupled().build().unwrap();
-        assert_eq!(dec, MachineConfig::rvv_decoupled(8192, 256));
-        let lanes = MachineConfig::builder().vlen_bits(2048).lanes(4).decoupled().build().unwrap();
-        let mut expect = MachineConfig::rvv_decoupled(2048, 1);
-        expect.lanes = 4;
-        assert_eq!(lanes, expect);
+        assert_eq!(L1.sets(), 256);
+        assert_eq!(MachineConfig::default().l2.sets(), 2048);
     }
 
     #[test]
     fn builder_rejects_invalid_points() {
+        let base = MachineConfig::default();
         assert_eq!(
-            MachineConfig::builder().vlen_bits(768).build(),
+            MachineConfig { vlen_bits: 768, ..base }.validate(),
             Err(ConfigError::BadVlen { vlen_bits: 768 })
         );
         assert_eq!(
-            MachineConfig::builder().vlen_bits(32).build(),
+            MachineConfig { vlen_bits: 32, ..base }.validate(),
             Err(ConfigError::BadVlen { vlen_bits: 32 })
         );
         // lanes > VLEN/32 can never retire a full beat.
         assert_eq!(
-            MachineConfig::builder().vlen_bits(512).lanes(32).build(),
+            MachineConfig { lanes: 32, ..base }.validate(),
             Err(ConfigError::BadLanes { lanes: 32, max: 16 })
         );
         assert_eq!(
-            MachineConfig::builder().lanes(0).build(),
+            MachineConfig { lanes: 0, ..base }.validate(),
             Err(ConfigError::BadLanes { lanes: 0, max: 16 })
         );
+        assert_eq!(MachineConfig::rvv_integrated(512, 0).validate(), Err(ConfigError::ZeroCache));
+        let no_ways = MachineConfig { l2: CacheGeometry { ways: 0, ..base.l2 }, ..base };
+        assert_eq!(no_ways.validate(), Err(ConfigError::ZeroCache));
+        let bad = CacheGeometry { size_bytes: 100, ways: 3 };
         assert_eq!(
-            MachineConfig::builder().l2_mib(0).build(),
-            Err(ConfigError::ZeroCache { level: "L2" })
+            MachineConfig { l2: bad, ..base }.validate(),
+            Err(ConfigError::BadGeometry { geometry: bad })
         );
-        let bad = CacheGeometry { size_bytes: 100, ways: 3, line_bytes: 48 };
-        assert!(matches!(
-            MachineConfig::builder().l1(bad).build(),
-            Err(ConfigError::BadGeometry { level: "L1", .. })
-        ));
         // Errors render a readable reason.
         let msg = ConfigError::BadLanes { lanes: 32, max: 16 }.to_string();
         assert!(msg.contains("32") && msg.contains("16"), "{msg}");
+        // The paper's design points pass.
+        let lanes = MachineConfig { lanes: 4, ..MachineConfig::rvv_decoupled(2048, 1) };
+        for cfg in [
+            MachineConfig::rvv_integrated(4096, 64),
+            MachineConfig::rvv_decoupled(8192, 256),
+            MachineConfig::a64fx_like(),
+            lanes,
+        ] {
+            assert_eq!(cfg.validate(), Ok(()), "{cfg:?}");
+        }
     }
 
     /// Regression: `validate` used to accept geometries that `Cache::new`
     /// rejects or silently truncates.
     #[test]
     fn builder_rejects_geometries_the_cache_cannot_index() {
+        let base = MachineConfig::default();
         // 3 MiB / (8 x 64 B) = 6144 sets: not a power of two.
-        assert!(matches!(
-            MachineConfig::builder().l2_mib(3).build(),
-            Err(ConfigError::BadGeometry { level: "L2", .. })
-        ));
-        // 100 KiB, 4-way: 400 sets.
-        let l1 = CacheGeometry { size_bytes: 100 * KIB, ways: 4, line_bytes: 64 };
-        assert!(matches!(
-            MachineConfig::builder().l1(l1).build(),
-            Err(ConfigError::BadGeometry { level: "L1", .. })
-        ));
+        let three = MachineConfig::rvv_integrated(512, 3);
+        assert!(matches!(three.validate(), Err(ConfigError::BadGeometry { .. })));
         // A size that is not a multiple of ways x line.
-        let ragged = CacheGeometry { size_bytes: 64 * KIB + 64, ways: 4, line_bytes: 64 };
+        let ragged = CacheGeometry { size_bytes: MIB + 64, ways: 8 };
         assert!(matches!(
-            MachineConfig::builder().l1(ragged).build(),
-            Err(ConfigError::BadGeometry { level: "L1", .. })
+            MachineConfig { l2: ragged, ..base }.validate(),
+            Err(ConfigError::BadGeometry { .. })
         ));
         // So construction reports the error instead of panicking.
-        let mut cfg = MachineConfig::default();
-        cfg.l2.size_bytes = 3 * MIB;
-        assert!(matches!(
-            crate::Machine::try_new(cfg),
-            Err(ConfigError::BadGeometry { level: "L2", .. })
-        ));
+        assert!(matches!(crate::Machine::try_new(three), Err(ConfigError::BadGeometry { .. })));
         // Power-of-two set counts with non-power-of-two ways stay valid.
-        let six = CacheGeometry { size_bytes: 6 * 64 * 256, ways: 6, line_bytes: 64 };
-        assert!(MachineConfig::builder().l2(six).build().is_ok());
+        let six = CacheGeometry { size_bytes: 6 * 64 * 256, ways: 6 };
+        assert!(MachineConfig { l2: six, ..base }.validate().is_ok());
     }
 
     #[test]
@@ -515,12 +413,26 @@ mod tests {
             "vlen=512;lanes=8;vpu=int;l1=65536/4/64;l2=1048576/8/64;pf=0;\
              cost=1,2,6,1,5,28,3,4,1,1;ghz=2"
         );
+        // Pinned too: `p1-roofline` measures this point live, so no cached
+        // cell would notice a change to its key.
+        assert_eq!(
+            MachineConfig::a64fx_like().stable_key(),
+            "vlen=512;lanes=8;vpu=int;l1=65536/4/64;l2=8388608/16/64;pf=1;\
+             cost=1,2,6,1,5,28,3,4,1,1;ghz=2"
+        );
+        let lanes = MachineConfig { lanes: 4, ..MachineConfig::rvv_decoupled(2048, 1) };
+        assert_eq!(
+            lanes.stable_key(),
+            "vlen=2048;lanes=4;vpu=dec;l1=65536/4/64;l2=1048576/8/64;pf=0;\
+             cost=1,2,6,1,5,28,3,4,1,1;ghz=2"
+        );
         let configs = [
             MachineConfig::rvv_integrated(1024, 1),
             MachineConfig::rvv_integrated(512, 4),
             MachineConfig::rvv_decoupled(512, 1),
             MachineConfig::a64fx_like(),
-            MachineConfig::builder().lanes(4).build().unwrap(),
+            MachineConfig { lanes: 4, ..a },
+            MachineConfig { sw_prefetch: true, ..a },
         ];
         for b in configs {
             assert_ne!(a.stable_key(), b.stable_key());

@@ -5,7 +5,7 @@
 //! kernel. A [`Workload`] describes, per kernel phase, how many events of
 //! each class the kernel issues (vsetvls, arithmetic instructions and their
 //! beat counts, memory instructions with their line footprints and reuse
-//! working sets), and [`evaluate`] applies the same [`CostModel`] the
+//! working sets), and [`evaluate`] applies the same [`COST`] table the
 //! machine charges, a working-set cache model in place of the simulated
 //! tag arrays, and a DRAM-bandwidth roofline floor. The result is a
 //! prediction of the same three metrics the cell cache stores — cycles,
@@ -18,8 +18,7 @@
 //! bound is asserted continuously (`tests/backend_parity.rs`, the
 //! `repro calibrate` artifact, CI). See `DESIGN.md` "Two-tier simulation".
 
-use crate::config::{CostModel, MachineConfig, VpuStyle};
-use crate::LINE_BYTES;
+use crate::config::{MachineConfig, VpuStyle, COST, L1, LINE_BYTES};
 
 /// One class of memory traffic inside a [`Phase`]: a set of accesses that
 /// share an instruction shape (unit-stride / strided / segment), a data
@@ -119,7 +118,7 @@ enum Level {
 
 fn reuse_level(cfg: &MachineConfig, class: &MemClass) -> Level {
     let through_l1 = class.scalar || cfg.vpu == VpuStyle::Integrated;
-    if through_l1 && class.resident_bytes <= cfg.l1.size_bytes as u64 {
+    if through_l1 && class.resident_bytes <= L1.size_bytes as u64 {
         Level::L1
     } else if class.resident_bytes <= cfg.l2.size_bytes as u64 {
         Level::L2
@@ -128,18 +127,18 @@ fn reuse_level(cfg: &MachineConfig, class: &MemClass) -> Level {
     }
 }
 
-fn reuse_line_cost(c: &CostModel, class: &MemClass, level: Level) -> u64 {
+fn reuse_line_cost(class: &MemClass, level: Level) -> u64 {
     match level {
         // A scalar hit in L1 is free (`scalar_load_hidden`).
         Level::L1 => {
             if class.scalar {
                 0
             } else {
-                c.l1_line
+                COST.l1_line
             }
         }
-        Level::L2 => c.l2_line,
-        Level::Dram => c.mem_line,
+        Level::L2 => COST.l2_line,
+        Level::Dram => COST.mem_line,
     }
 }
 
@@ -157,7 +156,7 @@ pub fn scaled_cycles(raw: f64, floor: f64, scale: f64) -> f64 {
 /// below one can never predict super-physical DRAM throughput and
 /// `bw_util` stays inside [0, 1] by construction.
 pub fn evaluate(cfg: &MachineConfig, w: &Workload, scale: f64) -> FastPrediction {
-    let c = &cfg.cost;
+    let c = &COST;
     let mut cycles = 0u64;
     let mut vector_instrs = 0u64;
     let mut vector_elems = 0u64;
@@ -177,8 +176,7 @@ pub fn evaluate(cfg: &MachineConfig, w: &Workload, scale: f64) -> FastPrediction
         flops += p.flops;
         for m in &p.mem {
             let level = reuse_level(cfg, m);
-            let line_cost =
-                m.cold_lines * c.mem_line + m.reuse_lines * reuse_line_cost(c, m, level);
+            let line_cost = m.cold_lines * c.mem_line + m.reuse_lines * reuse_line_cost(m, level);
             cycles +=
                 m.instrs * (c.issue + c.mem_startup) + m.gather_cycles + line_cost.max(m.beats);
             vector_instrs += m.instrs;

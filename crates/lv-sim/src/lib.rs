@@ -7,6 +7,11 @@
 //! (attached to L2, Paper I RISC-VV style) — above a set-associative L1/L2
 //! hierarchy and a bandwidth-limited DRAM.
 //!
+//! A [`MachineConfig`] is one design point of the co-design study: vector
+//! length, lanes, VPU style, L2 geometry and software prefetch. The core
+//! around it is fixed: the cycle costs [`COST`], the L1 [`L1`] and the
+//! line size [`LINE_BYTES`].
+//!
 //! Kernels are written exactly like VLA intrinsics code:
 //!
 //! ```
@@ -46,11 +51,11 @@ mod stats;
 
 pub use cache::Cache;
 pub use config::{
-    fnv1a, CacheGeometry, ConfigError, CostModel, MachineConfig, MachineConfigBuilder, VpuStyle,
-    CLOCK_HZ, KIB, MIB,
+    fnv1a, CacheGeometry, ConfigError, CostModel, MachineConfig, VpuStyle, CLOCK_HZ, COST, KIB, L1,
+    LINE_BYTES, MIB,
 };
 pub use lint::LintState;
-pub use machine::{Machine, VReg, LINE_BYTES, NUM_VREGS};
+pub use machine::{Machine, VReg, NUM_VREGS};
 pub use stats::Stats;
 
 /// Revision of the timing model. Bump whenever a change to this crate can

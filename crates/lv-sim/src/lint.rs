@@ -14,7 +14,7 @@
 //!   DRAM line fill counted once, either as demand (`mem_lines`) or as
 //!   software prefetch (`prefetch_lines`), so
 //!   `l2_misses == mem_lines + prefetch_lines` and
-//!   [`crate::Stats::dram_bytes`] equals `l2_misses * line_bytes`.
+//!   [`crate::Stats::dram_bytes`] equals `l2_misses * LINE_BYTES`.
 //! - **Uninitialized-lane reads** — a register read at vector length `vl`
 //!   requires that lanes `0..vl` were produced by an earlier write; reads
 //!   beyond the widest write observe the register file's zero-fill, which

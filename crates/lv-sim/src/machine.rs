@@ -39,7 +39,7 @@
 use lv_trace::{keys, SpanId, Tracer, TrackId};
 
 use crate::cache::Cache;
-use crate::config::{ConfigError, MachineConfig, VpuStyle};
+use crate::config::{ConfigError, MachineConfig, VpuStyle, COST, L1, LINE_BYTES};
 use crate::lint::LintState;
 use crate::stats::Stats;
 
@@ -49,12 +49,6 @@ pub struct VReg(pub u8);
 
 /// Number of architectural vector registers (RVV and SVE both have 32).
 pub const NUM_VREGS: usize = 32;
-
-/// Bytes per cache line in the machine's touch accounting. The geometry's
-/// `line_bytes` sizes the tag arrays, but every memory operation walks
-/// 64-byte lines; the analytical tier ([`crate::fastmodel`]) and the
-/// kernels' workload models count lines with this same constant.
-pub const LINE_BYTES: u64 = 64;
 
 /// The line holding byte address `addr`.
 #[inline]
@@ -167,7 +161,7 @@ impl Machine {
             vl: mvl,
             vregs: vec![0.0; NUM_VREGS * mvl].into_boxed_slice(),
             scratch: vec![0.0; 8 * mvl].into_boxed_slice(),
-            l1: Cache::new(cfg.l1),
+            l1: Cache::new(L1),
             l2: Cache::new(cfg.l2),
             shadows,
             stats: Stats::default(),
@@ -283,19 +277,17 @@ impl Machine {
         }
         let Some((span, before)) = self.region_stack.pop() else { return };
         let delta = self.stats().delta_since(&before);
-        let line_bytes = self.cfg.l2.line_bytes;
         let mut args: lv_trace::Args = vec![
             (keys::CYCLES.to_string(), delta.cycles.into()),
             (keys::FLOPS.to_string(), delta.flops.into()),
-            (keys::DRAM_BYTES.to_string(), delta.dram_bytes(line_bytes).into()),
+            (keys::DRAM_BYTES.to_string(), delta.dram_bytes().into()),
             (keys::AVG_VL.to_string(), delta.avg_vl().into()),
             (keys::L1_MISS_RATE.to_string(), delta.l1_miss_rate().into()),
             (keys::L2_MISS_RATE.to_string(), delta.l2_miss_rate().into()),
             (keys::VECTOR_INSTRS.to_string(), delta.vector_instrs.into()),
             (
                 keys::BW_UTIL.to_string(),
-                (delta.dram_bytes_per_cycle(line_bytes) / self.cfg.peak_dram_bytes_per_cycle())
-                    .into(),
+                (delta.dram_bytes_per_cycle() / self.cfg.peak_dram_bytes_per_cycle()).into(),
             ),
         ];
         args.extend(extra);
@@ -389,7 +381,7 @@ impl Machine {
     fn refresh_vl_costs(&mut self) {
         let vl = self.vl as u64;
         self.beats = vl.div_ceil(self.epc);
-        self.gather_beats = vl.div_ceil(self.cfg.cost.gather_elems_per_cycle.max(1));
+        self.gather_beats = vl.div_ceil(COST.gather_elems_per_cycle.max(1));
     }
 
     // ---------------------------------------------------------------- core
@@ -403,7 +395,7 @@ impl Machine {
             self.vl = vl;
             self.refresh_vl_costs();
         }
-        self.stats.cycles += self.cfg.cost.vsetvl;
+        self.stats.cycles += COST.vsetvl;
         self.stats.vsetvls += 1;
         if let Some(l) = self.lint.as_deref_mut() {
             l.on_vsetvl(avl, self.vl, self.mvl);
@@ -458,8 +450,7 @@ impl Machine {
 
     #[inline]
     fn arith_cost(&mut self, n_instr: u64) {
-        let c = &self.cfg.cost;
-        self.stats.cycles += n_instr * (c.issue + c.arith_startup + self.beats);
+        self.stats.cycles += n_instr * (COST.issue + COST.arith_startup + self.beats);
         self.stats.vector_instrs += n_instr;
         self.stats.vector_elems += n_instr * self.vl as u64;
     }
@@ -468,7 +459,7 @@ impl Machine {
     /// caches on the way. Returns cycles.
     #[inline]
     fn line_cost(&mut self, line: u64, prefetched: bool) -> u64 {
-        let c = self.cfg.cost;
+        let c = COST;
         // Vector memory on a decoupled VPU bypasses L1 and talks to L2.
         if self.cfg.vpu == VpuStyle::Integrated && self.l1.access_line(line) {
             return c.l1_line;
@@ -514,11 +505,10 @@ impl Machine {
     /// The line cost of a scalar access, which always goes through L1.
     #[inline]
     fn scalar_line_cost(&mut self, line: u64) -> u64 {
-        let c = self.cfg.cost;
         if self.l1.access_line(line) {
-            c.l1_line
+            COST.l1_line
         } else {
-            self.l2_access(line, c.l2_line, c.mem_line, true)
+            self.l2_access(line, COST.l2_line, COST.mem_line, true)
         }
     }
 
@@ -582,8 +572,7 @@ impl Machine {
 
     #[inline]
     fn mem_instr_base(&mut self) {
-        let c = &self.cfg.cost;
-        self.stats.cycles += c.issue + c.mem_startup;
+        self.stats.cycles += COST.issue + COST.mem_startup;
         self.stats.vector_instrs += 1;
         self.stats.vector_elems += self.vl as u64;
     }
@@ -968,8 +957,7 @@ impl Machine {
     /// log-depth reduction tree on top of one pass through the lanes.
     pub fn vredsum(&mut self, vs: VReg) -> f32 {
         self.lint_read(vs, "vfredsum");
-        let c = &self.cfg.cost;
-        self.stats.cycles += c.issue + c.arith_startup + self.beats + self.redsum_tree;
+        self.stats.cycles += COST.issue + COST.arith_startup + self.beats + self.redsum_tree;
         self.stats.vector_instrs += 1;
         self.stats.vector_elems += self.vl as u64;
         self.stats.flops += self.vl as u64;
@@ -995,7 +983,7 @@ impl Machine {
             self.lint_read(r, "vtranspose");
         }
         let permutes = (3 * n) as u64;
-        self.stats.cycles += permutes * (self.cfg.cost.issue + self.beats);
+        self.stats.cycles += permutes * (COST.issue + self.beats);
         self.stats.vector_instrs += permutes;
         self.stats.vector_elems += permutes * vl as u64;
         if self.compute {
@@ -1036,7 +1024,7 @@ impl Machine {
     /// the vector unit cannot hide).
     #[inline]
     pub fn scalar_ops(&mut self, n: u64) {
-        self.stats.cycles += n * self.cfg.cost.scalar_op;
+        self.stats.cycles += n * COST.scalar_op;
         self.stats.scalar_ops += n;
     }
 
@@ -1044,7 +1032,7 @@ impl Machine {
     /// via L1, even on a decoupled-VPU machine — the scalar core owns L1).
     pub fn scalar_load(&mut self, src: &[f32], idx: usize) -> f32 {
         let cost = self.scalar_line_cost(line_of(src.as_ptr() as usize + idx * 4));
-        self.stats.cycles += self.cfg.cost.scalar_op + cost;
+        self.stats.cycles += COST.scalar_op + cost;
         self.stats.scalar_ops += 1;
         self.lint_tick();
         src[idx]
@@ -1056,10 +1044,9 @@ impl Machine {
     /// exercises the hierarchy so footprints are accounted. Used for the
     /// GEMM kernels' A-element broadcasts.
     pub fn scalar_load_hidden(&mut self, src: &[f32], idx: usize) -> f32 {
-        let c = self.cfg.cost;
         let line = line_of(src.as_ptr() as usize + idx * 4);
         if !self.l1.access_line(line) {
-            self.stats.cycles += self.l2_access(line, c.l2_line, c.mem_line, true);
+            self.stats.cycles += self.l2_access(line, COST.l2_line, COST.mem_line, true);
         }
         self.stats.scalar_ops += 1;
         self.lint_tick();
@@ -1070,7 +1057,7 @@ impl Machine {
     /// timing-only machine checks the index and writes nothing).
     pub fn scalar_store(&mut self, dst: &mut [f32], idx: usize, v: f32) {
         let cost = self.scalar_line_cost(line_of(dst.as_ptr() as usize + idx * 4));
-        self.stats.cycles += self.cfg.cost.scalar_op + cost;
+        self.stats.cycles += COST.scalar_op + cost;
         self.stats.scalar_ops += 1;
         let slot = &mut dst[idx];
         if self.compute {
@@ -1082,7 +1069,7 @@ impl Machine {
     /// Scalar fused multiply-add, counted as one scalar op + 2 flops.
     #[inline]
     pub fn scalar_fma(&mut self) {
-        self.stats.cycles += self.cfg.cost.scalar_op;
+        self.stats.cycles += COST.scalar_op;
         self.stats.scalar_ops += 1;
         self.stats.flops += 2;
     }

@@ -2,6 +2,8 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::config::LINE_BYTES;
+
 /// Counters accumulated during a simulation run.
 ///
 /// `cycles` is the in-order timing model's total; the remaining counters
@@ -111,16 +113,16 @@ impl Stats {
     }
 
     /// Bytes moved from main memory (demand + software-prefetch lines).
-    pub fn dram_bytes(&self, line_bytes: usize) -> u64 {
-        (self.mem_lines + self.prefetch_lines) * line_bytes as u64
+    pub fn dram_bytes(&self) -> u64 {
+        (self.mem_lines + self.prefetch_lines) * LINE_BYTES
     }
 
     /// Achieved DRAM bandwidth in bytes/cycle over the counted interval.
-    pub fn dram_bytes_per_cycle(&self, line_bytes: usize) -> f64 {
+    pub fn dram_bytes_per_cycle(&self) -> f64 {
         if self.cycles == 0 {
             0.0
         } else {
-            self.dram_bytes(line_bytes) as f64 / self.cycles as f64
+            self.dram_bytes() as f64 / self.cycles as f64
         }
     }
 }
@@ -194,9 +196,9 @@ mod tests {
     #[test]
     fn dram_bytes_counts_demand_and_prefetch() {
         let s = Stats { cycles: 128, mem_lines: 6, prefetch_lines: 2, ..Default::default() };
-        assert_eq!(s.dram_bytes(64), 512);
-        assert!((s.dram_bytes_per_cycle(64) - 4.0).abs() < 1e-12);
-        assert_eq!(Stats::default().dram_bytes_per_cycle(64), 0.0);
+        assert_eq!(s.dram_bytes(), 512);
+        assert!((s.dram_bytes_per_cycle() - 4.0).abs() < 1e-12);
+        assert_eq!(Stats::default().dram_bytes_per_cycle(), 0.0);
     }
 
     #[test]

@@ -42,14 +42,12 @@ proptest! {
         scalar in any::<bool>(),
         scale in 0.25f64..4.0,
     ) {
-        let mut b = MachineConfig::builder()
-            .vlen_bits(1 << vlen_exp)
-            .lanes((1 << lanes_exp).min(1 << (vlen_exp - 5)))
-            .l2_mib(1 << l2_exp);
-        if dec {
-            b = b.decoupled();
-        }
-        let cfg = b.build().expect("builder inputs are valid by construction");
+        let preset = if dec { MachineConfig::rvv_decoupled } else { MachineConfig::rvv_integrated };
+        let cfg = MachineConfig {
+            lanes: (1 << lanes_exp).min(1 << (vlen_exp - 5)),
+            ..preset(1 << vlen_exp, 1 << l2_exp)
+        };
+        cfg.validate().expect("inputs are valid by construction");
         let vl = vl.min(cfg.vlen_elems() as u64);
         let w = Workload {
             phases: vec![Phase {

@@ -6,17 +6,17 @@
 
 mod ops;
 
-use lv_sim::{CacheGeometry, ConfigError, CostModel, Machine, MachineConfig, Stats, KIB, MIB};
+use lv_sim::{CacheGeometry, ConfigError, Machine, MachineConfig, Stats, KIB, MIB};
 use proptest::prelude::*;
 
 /// L2 geometries for the group: a thrashing L2 smaller than the three
 /// program buffers, differing ways, and the paper's 8-way sizes.
 const L2S: [CacheGeometry; 5] = [
-    CacheGeometry { size_bytes: 16 * KIB, ways: 4, line_bytes: 64 },
-    CacheGeometry { size_bytes: 32 * KIB, ways: 2, line_bytes: 64 },
-    CacheGeometry { size_bytes: 256 * KIB, ways: 16, line_bytes: 64 },
-    CacheGeometry { size_bytes: MIB, ways: 8, line_bytes: 64 },
-    CacheGeometry { size_bytes: 4 * MIB, ways: 8, line_bytes: 64 },
+    CacheGeometry { size_bytes: 16 * KIB, ways: 4 },
+    CacheGeometry { size_bytes: 32 * KIB, ways: 2 },
+    CacheGeometry { size_bytes: 256 * KIB, ways: 16 },
+    CacheGeometry { size_bytes: MIB, ways: 8 },
+    CacheGeometry { size_bytes: 4 * MIB, ways: 8 },
 ];
 
 fn with_l2(base: MachineConfig, l2: CacheGeometry) -> MachineConfig {
@@ -40,11 +40,9 @@ proptest! {
         lead in 0usize..5,
         members in 1usize..6,
     ) {
-        let mut b = MachineConfig::builder().vlen_bits(256 << vlen_log).lanes(1 << lanes_log);
-        if decoupled {
-            b = b.decoupled();
-        }
-        let base = b.build().expect("valid design point");
+        let preset =
+            if decoupled { MachineConfig::rvv_decoupled } else { MachineConfig::rvv_integrated };
+        let base = MachineConfig { lanes: 1 << lanes_log, ..preset(256 << vlen_log, 1) };
         // Rotate the geometries so each one leads some groups.
         let cfgs: Vec<MachineConfig> =
             (0..members).map(|i| with_l2(base, L2S[(lead + i) % L2S.len()])).collect();
@@ -74,8 +72,7 @@ fn construction_rejects_groups_that_differ_outside_the_l2() {
         MachineConfig::rvv_integrated(1024, 16),
         MachineConfig::rvv_decoupled(512, 16),
         MachineConfig { lanes: 4, ..base },
-        MachineConfig { l1: CacheGeometry { size_bytes: 32 * KIB, ..base.l1 }, ..base },
-        MachineConfig { cost: CostModel { mem_line: 2 * base.cost.mem_line, ..base.cost }, ..base },
+        MachineConfig { sw_prefetch: true, ..base },
     ];
     for other in others {
         let err = Machine::try_new_group(&[base, base, other]).err();
@@ -86,7 +83,7 @@ fn construction_rejects_groups_that_differ_outside_the_l2() {
     let bad = MachineConfig { l2: CacheGeometry { size_bytes: 3 * MIB, ..base.l2 }, ..base };
     assert!(matches!(
         Machine::try_new_group(&[base, bad]).err(),
-        Some(ConfigError::BadGeometry { level: "L2", .. })
+        Some(ConfigError::BadGeometry { .. })
     ));
 }
 

@@ -53,7 +53,7 @@ proptest! {
         let data = vec![1.0f32; n];
         let mut last = u64::MAX;
         for lanes in [2usize, 4, 8, 16] {
-            let cfg = MachineConfig::builder().vlen_bits(2048).lanes(lanes).build().unwrap();
+            let cfg = MachineConfig { lanes, ..MachineConfig::rvv_integrated(2048, 1) };
             let mut m = Machine::new(cfg);
             let c = fma_workload(&mut m, n, &data);
             prop_assert!(c <= last);
@@ -123,7 +123,7 @@ proptest! {
 #[test]
 fn associativity_boundary() {
     use lv_sim::Cache;
-    let geo = CacheGeometry { size_bytes: 4 * 64 * 8, ways: 4, line_bytes: 64 }; // 8 sets
+    let geo = CacheGeometry { size_bytes: 4 * 64 * 8, ways: 4 }; // 8 sets
     let mut c = Cache::new(geo);
     let lines_same_set: Vec<u64> = (0..5).map(|i| 8 * i + 3).collect();
     // Warm 4 ways.

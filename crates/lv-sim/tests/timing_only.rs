@@ -23,14 +23,12 @@ proptest! {
         sw_prefetch in any::<bool>(),
         tiny_l2 in any::<bool>(),
     ) {
-        let mut b = MachineConfig::builder().vlen_bits(256 << vlen_log).sw_prefetch(sw_prefetch);
-        if decoupled {
-            b = b.decoupled();
-        }
+        let preset =
+            if decoupled { MachineConfig::rvv_decoupled } else { MachineConfig::rvv_integrated };
+        let mut cfg = MachineConfig { sw_prefetch, ..preset(256 << vlen_log, 1) };
         if tiny_l2 {
-            b = b.l2(CacheGeometry { size_bytes: 16 * KIB, ways: 4, line_bytes: 64 });
+            cfg.l2 = CacheGeometry { size_bytes: 16 * KIB, ways: 4 };
         }
-        let cfg = b.build().expect("valid design point");
         let prog = ops::program(seed, cfg.vlen_elems(), 400);
 
         let mut bufs = ops::buffers();
