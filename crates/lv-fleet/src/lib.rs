@@ -18,13 +18,15 @@
 //!   [`lv_serving::EngineNode`]s: round-robin, join-shortest-queue,
 //!   power-of-two-choices, and model-affinity (send a class where it runs
 //!   fastest, spill by expected delay).
-//! * [`sim::FleetSim`] — the cluster event loop: advance every node to
-//!   each arrival, route, optionally reject at admission when the
-//!   expected delay already busts the SLO, and let a reactive
-//!   [`autoscale::Autoscaler`] add replicas on sustained queue-depth
-//!   breach (and, opt-in, retire them when idle). Fleet percentiles are
-//!   the exact [`lv_serving::LatencyHistogram::merge`] of every node's
-//!   per-replica histograms.
+//! * [`sim::FleetSim`] — the cluster event loop: advance the nodes with
+//!   a dispatch due before each arrival (the rest have nothing to do, and
+//!   catch up on finished batches before anything reads them), route,
+//!   optionally reject at admission when the expected delay already busts
+//!   the SLO, and let a reactive [`autoscale::Autoscaler`] add replicas on
+//!   sustained queue-depth breach (and, opt-in, retire them when idle).
+//!   Fleet percentiles are the exact
+//!   [`lv_serving::LatencyHistogram::merge`] of every node's per-replica
+//!   histograms.
 //! * [`fault::FaultPlan`] — deterministic seeded fault injection:
 //!   crash/restart windows, straggler slowdowns, and a correlated rack
 //!   outage, expanded up front into a timestamped event list so every

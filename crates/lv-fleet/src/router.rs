@@ -109,26 +109,15 @@ impl Router {
                     .map(|&i| nodes[i].service_s(class))
                     .min_by(f64::total_cmp)
                     .expect("non-empty eligible set");
-                let preferred = eligible
+                let near_best = eligible
                     .iter()
                     .copied()
-                    .filter(|&i| nodes[i].service_s(class) <= 1.25 * best_svc)
-                    .min_by(|&a, &b| {
-                        nodes[a]
-                            .expected_delay_s(class, now_s)
-                            .total_cmp(&nodes[b].expected_delay_s(class, now_s))
-                    })
+                    .filter(|&i| nodes[i].service_s(class) <= 1.25 * best_svc);
+                let preferred = least_delay(nodes, near_best, class, now_s)
                     .expect("at least one node within 1.25x of the best");
                 if nodes[preferred].queue_full() {
                     // Spill anywhere eligible: the least expected delay.
-                    eligible
-                        .iter()
-                        .copied()
-                        .min_by(|&a, &b| {
-                            nodes[a]
-                                .expected_delay_s(class, now_s)
-                                .total_cmp(&nodes[b].expected_delay_s(class, now_s))
-                        })
+                    least_delay(nodes, eligible.iter().copied(), class, now_s)
                         .expect("non-empty eligible set")
                 } else {
                     preferred
@@ -140,6 +129,21 @@ impl Router {
 
 fn shortest_queue(nodes: &[FleetNode], eligible: &[usize]) -> usize {
     eligible.iter().copied().min_by_key(|&i| (nodes[i].queue_len(), i)).expect("non-empty fleet")
+}
+
+/// The candidate with the least expected delay for `class`, computing
+/// each candidate's delay once. `min_by` keeps the first of equal minima,
+/// so ties go to the earliest candidate.
+fn least_delay(
+    nodes: &[FleetNode],
+    cands: impl Iterator<Item = usize>,
+    class: usize,
+    now_s: f64,
+) -> Option<usize> {
+    cands
+        .map(|i| (i, nodes[i].expected_delay_s(class, now_s)))
+        .min_by(|a, b| a.1.total_cmp(&b.1))
+        .map(|(i, _)| i)
 }
 
 #[cfg(test)]

@@ -4,7 +4,7 @@
 //! timers (retries, hedges) onto one deterministic clock.
 //!
 //! With faults and tolerance off, the loop degenerates to the original
-//! drive order — advance every node to each arrival, observe the
+//! drive order — advance the nodes to each arrival, observe the
 //! autoscaler, route, admission-check, offer — and reproduces it
 //! bit-for-bit, including the router's RNG stream. With them on, events
 //! at equal times order fault < completion < retry < hedge < arrival,
@@ -13,11 +13,15 @@
 //! conservation invariant `completed + dropped == offered` and, under
 //! strict deadlines, no completion past the request's budget (original
 //! arrival + deadline) no matter how many times it was retried.
+//!
+//! Before each event only the nodes with a dispatch due before it are
+//! advanced ([`lv_serving::EngineNode::next_dispatch_s`]), so an event
+//! costs work in proportion to the nodes that act on it, not to the fleet
+//! size; `Run::advance_all` states why skipping the others is exact.
 
-use std::cmp::Ordering;
+use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 
-use lv_serving::metrics::percentile;
 use lv_serving::{
     EngineNode, LatencyHistogram, LatencySummary, NodeConfig, NodeEvent, QueuedRequest,
 };
@@ -460,8 +464,8 @@ impl FleetSim {
             seq: 0,
             scale_events: Vec::new(),
             resilience: ResilienceStats::default(),
-            samples: Vec::new(),
-            sorted: Vec::new(),
+            hedge_latency: c.tolerance.hedge.map(|h| HedgeQuantile::new(h.quantile)),
+            eligible: Vec::with_capacity(n),
             last_arrival: 0.0,
         };
 
@@ -499,11 +503,11 @@ struct Run<'a> {
     seq: u64,
     scale_events: Vec<ScaleEvent>,
     resilience: ResilienceStats,
-    /// Completed per-request latencies, in completion order (feeds the
-    /// hedge-delay quantile).
-    samples: Vec<f64>,
-    /// Lazily re-sorted copy of `samples` for quantile lookups.
-    sorted: Vec<f64>,
+    /// Completed per-request latencies, kept only when hedging is on
+    /// (they feed the hedge delay and nothing else).
+    hedge_latency: Option<HedgeQuantile>,
+    /// The node indices routing may consider, refilled per dispatch.
+    eligible: Vec<usize>,
     last_arrival: f64,
 }
 
@@ -529,10 +533,10 @@ impl Run<'_> {
         TrackId::new(self.pid, 2 + self.nodes.len() as u64)
     }
 
-    /// The main loop: process heap events in time order, advancing every
-    /// node to each event's time first so batch dispatches (and the
-    /// completions they schedule) interleave correctly; when the heap is
-    /// empty, drain the nodes — draining can schedule more events
+    /// The main loop: process heap events in time order, advancing the
+    /// nodes due before each event's time first so batch dispatches (and
+    /// the completions they schedule) interleave correctly; when the heap
+    /// is empty, drain every node — draining can schedule more events
     /// (completions, retries), so repeat until both are exhausted.
     fn drive(&mut self) {
         loop {
@@ -556,11 +560,19 @@ impl Run<'_> {
         }
     }
 
+    /// Advance every node with a dispatch due strictly before `t_s`. A
+    /// node that is down, idle or not yet due would return no event, and
+    /// skipping it is exact: `advance` would only move its finished
+    /// batches' latencies into its histograms, which nothing reads before
+    /// the node's next dispatch, a crash or the final drain — and each of
+    /// those catches up first. Per-replica sample order is batch order
+    /// either way, and the merge below sees the same event list.
     fn advance_all(&mut self, t_s: f64) {
         let mut evs = Vec::new();
-        for i in 0..self.nodes.len() {
-            let es = self.nodes[i].node.advance(t_s);
-            evs.extend(es.into_iter().map(|e| (i, e)));
+        for (i, fnode) in self.nodes.iter_mut().enumerate() {
+            if fnode.node.next_dispatch_s().is_some_and(|d| d < t_s) {
+                evs.extend(fnode.node.advance(t_s).into_iter().map(|e| (i, e)));
+            }
         }
         if !evs.is_empty() {
             self.process_node_events(evs);
@@ -716,25 +728,25 @@ impl Run<'_> {
         }
     }
 
-    /// The node indices routing may consider at `t`. Health-aware mode
-    /// excludes down and ejected nodes (falling back to up-only, then to
-    /// everything, rather than dropping on the floor); the oblivious
-    /// baseline considers every node — including down ones, which
-    /// models clients blackholing into a dead backend.
-    fn eligible(&self, t: f64) -> Vec<usize> {
-        let n = self.nodes.len();
+    /// Fill `self.eligible` with the node indices routing may consider
+    /// at `t`. Health-aware mode excludes down and ejected nodes (falling
+    /// back to up-only, then to everything, rather than dropping on the
+    /// floor); the oblivious baseline considers every node — including
+    /// down ones, which models clients blackholing into a dead backend.
+    fn fill_eligible(&mut self, t: f64) {
+        let (nodes, out) = (&self.nodes, &mut self.eligible);
+        let up = |i: &usize| nodes[*i].node.is_up();
+        out.clear();
         if let Some(h) = self.health.as_ref() {
-            let healthy: Vec<usize> =
-                (0..n).filter(|&i| self.nodes[i].node.is_up() && !h.is_ejected(i, t)).collect();
-            if !healthy.is_empty() {
-                return healthy;
+            out.extend((0..nodes.len()).filter(|i| up(i) && !h.is_ejected(*i, t)));
+            if out.is_empty() {
+                out.extend((0..nodes.len()).filter(up));
             }
-            let up: Vec<usize> = (0..n).filter(|&i| self.nodes[i].node.is_up()).collect();
-            if !up.is_empty() {
-                return up;
+            if !out.is_empty() {
+                return;
             }
         }
-        (0..n).collect()
+        out.extend(0..nodes.len());
     }
 
     /// Route and offer one copy of request `id` at `t`; returns whether
@@ -743,16 +755,16 @@ impl Run<'_> {
     /// original copy is still in play).
     fn dispatch_copy(&mut self, id: usize, t: f64, is_hedge: bool) -> bool {
         let class = self.reqs[id].class;
-        let mut eligible = self.eligible(t);
+        self.fill_eligible(t);
         if is_hedge {
             let copies = &self.reqs[id].copies;
-            eligible
+            self.eligible
                 .retain(|&i| !copies.iter().any(|c| c.node == i && c.status != CopyStatus::Gone));
-            if eligible.is_empty() {
+            if self.eligible.is_empty() {
                 return false;
             }
         }
-        let pick = self.router.pick(&self.nodes, &eligible, class, t);
+        let pick = self.router.pick(&self.nodes, &self.eligible, class, t);
         let wait = self.nodes[pick].node.expected_wait_s(t);
         let mut cost = self.nodes[pick].service_s(class);
         let mut degraded = false;
@@ -815,16 +827,11 @@ impl Run<'_> {
     /// once enough samples exist, floored at the policy minimum.
     fn hedge_delay(&mut self) -> f64 {
         let h = self.cfg.tolerance.hedge.expect("caller checked");
-        if self.samples.len() < h.min_samples.max(1) {
+        let latency = self.hedge_latency.as_mut().expect("kept whenever hedging is on");
+        if latency.len() < h.min_samples.max(1) {
             return h.min_delay_s;
         }
-        // The quantile drifts slowly; refreshing the sort every 64
-        // completions keeps scheduling cheap and stays deterministic.
-        if self.sorted.is_empty() || self.samples.len() >= self.sorted.len() + 64 {
-            self.sorted = self.samples.clone();
-            self.sorted.sort_by(|a, b| a.total_cmp(b));
-        }
-        percentile(&self.sorted, h.quantile).max(h.min_delay_s)
+        latency.scheduled().max(h.min_delay_s)
     }
 
     /// A copy of `id` just failed for `why` at `t`. If a sibling copy is
@@ -851,7 +858,9 @@ impl Run<'_> {
     fn finalize(&mut self, id: usize, t: f64, outcome: Outcome) {
         debug_assert!(self.reqs[id].outcome.is_none(), "request resolved twice");
         if let Outcome::Completed { latency_s } = outcome {
-            self.samples.push(latency_s);
+            if let Some(latency) = self.hedge_latency.as_mut() {
+                latency.push(latency_s);
+            }
         } else if self.trace {
             let name = match outcome {
                 Outcome::Admission => "drop:admission",
@@ -1072,6 +1081,98 @@ impl Run<'_> {
     }
 }
 
+/// A latency ordered by [`f64::total_cmp`], so it can live in a heap.
+/// Values equal under `total_cmp` have identical bits.
+#[derive(Debug, Clone, Copy)]
+struct Total(f64);
+
+impl Ord for Total {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.0.total_cmp(&other.0)
+    }
+}
+
+impl PartialOrd for Total {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Total {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for Total {}
+
+/// The completion-latency quantile behind the hedge delay, kept exactly
+/// as samples arrive. `low` is a max-heap of the `k` smallest samples and
+/// `high` a min-heap of the rest, split at `k = ceil(n·q)` clamped to
+/// `[1, n]` — the nearest rank of [`lv_serving::metrics::percentile`]. The
+/// top of `low` is then that percentile of a sorted copy, bit for bit, at
+/// O(log n) per sample instead of a re-sort of every sample.
+#[derive(Debug)]
+struct HedgeQuantile {
+    q: f64,
+    low: BinaryHeap<Total>,
+    high: BinaryHeap<Reverse<Total>>,
+    /// Sample count at the last refresh (0: never refreshed).
+    refreshed_at: usize,
+    /// The quantile as of the last refresh.
+    cached: f64,
+}
+
+impl HedgeQuantile {
+    fn new(q: f64) -> Self {
+        Self { q, low: BinaryHeap::new(), high: BinaryHeap::new(), refreshed_at: 0, cached: 0.0 }
+    }
+
+    fn len(&self) -> usize {
+        self.low.len() + self.high.len()
+    }
+
+    /// Record one latency. Every sample in `low` stays `<=` every sample
+    /// in `high`; the split point moves only in [`HedgeQuantile::exact`].
+    fn push(&mut self, latency_s: f64) {
+        let x = Total(latency_s);
+        if self.low.peek().is_some_and(|top| x <= *top) {
+            self.low.push(x);
+        } else {
+            self.high.push(Reverse(x));
+        }
+    }
+
+    /// The exact nearest-rank quantile of every sample so far.
+    fn exact(&mut self) -> f64 {
+        let n = self.len();
+        assert!(n > 0, "quantile of empty sample");
+        let k = ((n as f64 * self.q).ceil() as usize).clamp(1, n);
+        while self.low.len() > k {
+            let top = self.low.pop().expect("len > k >= 1");
+            self.high.push(Reverse(top));
+        }
+        while self.low.len() < k {
+            let Reverse(least) = self.high.pop().expect("len < k <= n");
+            self.low.push(least);
+        }
+        self.low.peek().expect("k >= 1").0
+    }
+
+    /// The quantile on the hedge schedule: computed on the first call and
+    /// again once 64 samples have arrived since the last, cached between.
+    /// The schedule is part of the hedging model, not a cost saving:
+    /// refreshing on every call would move the hedge delays, and with
+    /// them every report that hedges.
+    fn scheduled(&mut self) -> f64 {
+        if self.refreshed_at == 0 || self.len() >= self.refreshed_at + 64 {
+            self.cached = self.exact();
+            self.refreshed_at = self.len();
+        }
+        self.cached
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1079,6 +1180,45 @@ mod tests {
     use crate::fault::{FaultScenario, ALL_SCENARIOS};
     use crate::router::ALL_POLICIES;
     use crate::tolerance::{DegradePolicy, HedgePolicy, RetryPolicy};
+    use lv_serving::metrics::percentile;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 96, ..ProptestConfig::default() })]
+
+        /// The two-heap quantile equals `percentile` of a sorted copy, bit
+        /// for bit, at any point of any stream (duplicates included); and
+        /// on the hedge schedule it returns what re-sorting every sample
+        /// at each refresh returns.
+        #[test]
+        fn hedge_quantile_is_the_exact_percentile(
+            stream in collection::vec((0usize..40, 0usize..6), 1..700),
+            qi in 0usize..4,
+        ) {
+            let q = [0.0, 0.5, 0.95, 0.99][qi];
+            let mut heaps = HedgeQuantile::new(q);
+            let mut samples = Vec::new();
+            let mut resorted: Vec<f64> = Vec::new();
+            for (v, op) in stream {
+                // A coarse grid, so many samples tie.
+                let x = v as f64 * 0.0125;
+                heaps.push(x);
+                samples.push(x);
+                if op == 0 {
+                    let mut sorted = samples.clone();
+                    sorted.sort_by(f64::total_cmp);
+                    prop_assert_eq!(heaps.exact().to_bits(), percentile(&sorted, q).to_bits());
+                } else if op == 1 {
+                    if resorted.is_empty() || samples.len() >= resorted.len() + 64 {
+                        resorted = samples.clone();
+                        resorted.sort_by(f64::total_cmp);
+                    }
+                    prop_assert_eq!(heaps.scheduled().to_bits(), percentile(&resorted, q).to_bits());
+                }
+                prop_assert_eq!(heaps.len(), samples.len());
+            }
+        }
+    }
 
     fn chip(name: &str, vlen: usize, replicas: usize, svc: &[f64]) -> ChipSpec {
         ChipSpec {

@@ -154,6 +154,13 @@ pub struct EngineNode {
     up: bool,
     /// Service-time multiplier (≥ 1 models a straggler; 1 is nominal).
     slowdown: f64,
+    /// Cached `earliest_free()`: the least-loaded active replica and when
+    /// it frees.
+    free: (usize, f64),
+    /// Cached next dispatch time: `None` while down or idle, else
+    /// `dispatch_at(free.1)`. Every mutator that can move either ends in
+    /// `refresh()`.
+    due: Option<f64>,
 }
 
 impl EngineNode {
@@ -176,8 +183,18 @@ impl EngineNode {
             peak_replicas: n,
             up: true,
             slowdown: 1.0,
+            // What `refresh` computes for idle replicas at time zero.
+            free: (0, 0.0),
+            due: None,
             cfg,
         })
+    }
+
+    /// Recompute the cached earliest-free replica and next dispatch time
+    /// after a change to the queue, the replicas or the up state.
+    fn refresh(&mut self) {
+        self.free = self.earliest_free();
+        self.due = if self.up { self.dispatch_at(self.free.1) } else { None };
     }
 
     /// Earliest-free active replica (work-conserving least-loaded pick).
@@ -236,12 +253,8 @@ impl EngineNode {
             // passes until `restart`.
             return events;
         }
-        loop {
-            let (ri, free) = self.earliest_free();
-            let Some(d) = self.dispatch_at(free) else { break };
-            if d >= t_s {
-                break;
-            }
+        while let Some(d) = self.due.filter(|&d| d < t_s) {
+            let ri = self.free.0;
             // Shed queued work whose deadline passed before `d`; the head
             // changed, so re-evaluate the trigger before popping a batch.
             let shed = self.queue.shed_expired(d);
@@ -250,6 +263,7 @@ impl EngineNode {
                     self.drops.record(DropReason::DeadlineExceeded);
                 }
                 events.push(NodeEvent::Shed { at_s: d, shed, queue_len_after: self.queue.len() });
+                self.refresh();
                 continue;
             }
             // Strict mode: also shed heads that would *finish* past their
@@ -273,6 +287,7 @@ impl EngineNode {
                         shed: hopeless,
                         queue_len_after: self.queue.len(),
                     });
+                    self.refresh();
                     continue;
                 }
             }
@@ -291,6 +306,7 @@ impl EngineNode {
             self.counters[ri].busy_s += svc;
             self.batches += 1;
             self.batched_requests += batch.len() as u64;
+            self.refresh();
             events.push(NodeEvent::Batch {
                 replica: ri,
                 at_s: d,
@@ -319,6 +335,7 @@ impl EngineNode {
         }
         if self.queue.try_admit(req) {
             self.max_queue_depth = self.max_queue_depth.max(self.queue.len());
+            self.refresh();
             true
         } else {
             self.drops.record(DropReason::QueueFull);
@@ -356,6 +373,7 @@ impl EngineNode {
             self.drops.record(DropReason::NodeFailed);
         }
         self.up = false;
+        self.refresh();
         lost
     }
 
@@ -365,6 +383,7 @@ impl EngineNode {
         for f in &mut self.free_at {
             *f = f.max(now_s);
         }
+        self.refresh();
     }
 
     /// Whether the node is serving (not crashed).
@@ -389,7 +408,11 @@ impl EngineNode {
     /// sibling won). `false` if it already dispatched or was never here;
     /// cancellation is not a drop.
     pub fn cancel(&mut self, id: u64) -> bool {
-        self.queue.cancel(id).is_some()
+        let hit = self.queue.cancel(id).is_some();
+        if hit {
+            self.refresh();
+        }
+        hit
     }
 
     /// Change the active replica count at time `now_s`. Scaling up brings
@@ -407,6 +430,7 @@ impl EngineNode {
         }
         self.active = replicas;
         self.peak_replicas = self.peak_replicas.max(replicas);
+        self.refresh();
     }
 
     /// Currently active replicas.
@@ -433,8 +457,20 @@ impl EngineNode {
     /// until the earliest replica frees, plus the queued work spread over
     /// the active replicas. A routing/admission estimate, not a bound.
     pub fn expected_wait_s(&self, now_s: f64) -> f64 {
-        let (_, free) = self.earliest_free();
-        (free - now_s).max(0.0) + self.slowdown * self.queue.total_cost_s() / self.active as f64
+        (self.free.1 - now_s).max(0.0)
+            + self.slowdown * self.queue.total_cost_s() / self.active as f64
+    }
+
+    /// When this node next has something to do: the time of the first
+    /// event [`EngineNode::advance`] would return, or `None` while it is
+    /// down or has nothing queued. `advance(t)` returns no event iff this
+    /// is `None` or `>= t`, so a scheduler driving many nodes can skip
+    /// every node that is not due before `t`. Skipping defers only the
+    /// bookkeeping of batches that finish meanwhile, which the node
+    /// catches up on before anything reads it (its next dispatch, a
+    /// crash, or the final drain).
+    pub fn next_dispatch_s(&self) -> Option<f64> {
+        self.due
     }
 
     /// Drop accounting so far.

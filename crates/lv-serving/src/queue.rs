@@ -7,6 +7,7 @@
 //! outcomes are reported through [`crate::metrics::DropStats`] rather than
 //! silently vanishing.
 
+use std::cell::Cell;
 use std::collections::VecDeque;
 
 /// A request waiting for service.
@@ -30,6 +31,13 @@ pub struct AdmissionQueue {
     items: VecDeque<QueuedRequest>,
     capacity: usize,
     deadline_s: Option<f64>,
+    /// [`AdmissionQueue::total_cost_s`] since the last change, `None`
+    /// until first read. Re-summed front to back, never kept by running
+    /// add and subtract: that would drift in the last bits and flip
+    /// routing ties. Summing on read, not on change, keeps a long queue
+    /// that nobody asks about (the single-node engine's) from paying a
+    /// full sum on every admit and pop.
+    total_cost_s: Cell<Option<f64>>,
 }
 
 impl AdmissionQueue {
@@ -40,7 +48,12 @@ impl AdmissionQueue {
         if let Some(d) = deadline_s {
             assert!(d > 0.0, "deadline must be positive");
         }
-        Self { items: VecDeque::new(), capacity, deadline_s }
+        Self { items: VecDeque::new(), capacity, deadline_s, total_cost_s: Cell::new(None) }
+    }
+
+    /// Forget the cached total after a change to the queued items.
+    fn changed(&mut self) {
+        *self.total_cost_s.get_mut() = None;
     }
 
     /// Current depth.
@@ -71,7 +84,12 @@ impl AdmissionQueue {
     /// Total service cost (seconds) of everything queued — the backlog a
     /// new arrival waits behind, used by routing/admission estimates.
     pub fn total_cost_s(&self) -> f64 {
-        self.items.iter().map(|r| r.unit_cost_s).sum()
+        if let Some(total) = self.total_cost_s.get() {
+            return total;
+        }
+        let total = self.items.iter().map(|r| r.unit_cost_s).sum();
+        self.total_cost_s.set(Some(total));
+        total
     }
 
     /// Admit `req` if there is room; `false` means the caller must count a
@@ -81,6 +99,7 @@ impl AdmissionQueue {
             return false;
         }
         self.items.push_back(req);
+        self.changed();
         true
     }
 
@@ -100,26 +119,35 @@ impl AdmissionQueue {
                 break;
             }
         }
+        if !shed.is_empty() {
+            self.changed();
+        }
         shed
     }
 
     /// Pop up to `max` requests from the head to form a batch.
     pub fn pop_batch(&mut self, max: usize) -> Vec<QueuedRequest> {
         let n = max.min(self.items.len());
-        self.items.drain(..n).collect()
+        let batch = self.items.drain(..n).collect();
+        self.changed();
+        batch
     }
 
     /// Remove the queued request with this id, if present (hedged
     /// duplicates are cancelled when another copy wins; not a drop).
     pub fn cancel(&mut self, id: u64) -> Option<QueuedRequest> {
         let idx = self.items.iter().position(|r| r.id == id)?;
-        self.items.remove(idx)
+        let req = self.items.remove(idx);
+        self.changed();
+        req
     }
 
     /// Empty the queue, returning everything that was waiting (node
     /// crash: the caller accounts the loss).
     pub fn drain_all(&mut self) -> Vec<QueuedRequest> {
-        self.items.drain(..).collect()
+        let all = self.items.drain(..).collect();
+        self.changed();
+        all
     }
 }
 
