@@ -25,6 +25,7 @@
 
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
+use std::fmt::{self, Write as _};
 use std::io::Write as _;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -32,7 +33,7 @@ use std::sync::Mutex;
 
 use lv_conv::{Algo, ALL_ALGOS};
 use lv_models::{BackendKind, CellMetrics};
-use lv_sim::{fnv1a, MachineConfig, TrackId, VpuStyle, MIB};
+use lv_sim::{MachineConfig, TrackId, VpuStyle, MIB};
 use lv_tensor::ConvShape;
 use rayon::prelude::*;
 
@@ -106,15 +107,23 @@ impl Cell {
     /// fold in the tier name and [`lv_sim::FAST_MODEL_REV`], so the two
     /// tiers can never serve each other's cells and a fast-model (or
     /// calibration-table) change invalidates only fast cells.
+    ///
+    /// The key is [`lv_sim::fnv1a`] of the canonical text
+    /// `{stable_key}|shape={ic},{ih},{iw},{oc},{kh},{kw},{stride},{pad}|algo={name}|salt={salt}`,
+    /// plus `|backend=fast|f{FAST_MODEL_REV}` on the fast tier, hashed as
+    /// it is formatted; the text itself is never built.
     pub fn key_tiered(&self, salt: &str, backend: BackendKind) -> u64 {
+        self.key_after(Fnv1a::after_config(&self.cfg), salt, backend)
+    }
+
+    /// [`Self::key_tiered`], continued from `h`: the hash state after this
+    /// cell's `stable_key()`.
+    fn key_after(&self, mut h: Fnv1a, salt: &str, backend: BackendKind) -> u64 {
         let s = &self.shape;
-        let tier = match backend {
-            BackendKind::Cycle => String::new(),
-            BackendKind::Fast => format!("|backend=fast|f{}", lv_sim::FAST_MODEL_REV),
-        };
-        let canon = format!(
-            "{}|shape={},{},{},{},{},{},{},{}|algo={}|salt={salt}{tier}",
-            self.cfg.stable_key(),
+        // Hashing never fails.
+        let _ = write!(
+            h,
+            "|shape={},{},{},{},{},{},{},{}|algo={}|salt={salt}",
             s.ic,
             s.ih,
             s.iw,
@@ -125,13 +134,74 @@ impl Cell {
             s.pad,
             self.algo.name(),
         );
-        fnv1a(canon.as_bytes())
+        match backend {
+            BackendKind::Cycle => {}
+            BackendKind::Fast => {
+                let _ = write!(h, "|backend=fast|f{}", lv_sim::FAST_MODEL_REV);
+            }
+        }
+        h.0
     }
 
     /// Whether the algorithm applies to the layer at all.
     pub fn applicable(&self) -> bool {
         self.algo.applicable(&self.shape)
     }
+}
+
+/// [`lv_sim::fnv1a`] as a [`fmt::Write`] sink: the hash of every byte
+/// written so far, so a key is hashed from its canonical text while the
+/// text is formatted, and the text is never stored. FNV-1a folds one byte
+/// at a time into this one word, so the state after a shared prefix is an
+/// exact starting point for every text that begins with it.
+#[derive(Debug, Clone, Copy)]
+struct Fnv1a(u64);
+
+impl Fnv1a {
+    /// The state after `cfg.stable_key()`, the prefix of every cell key on
+    /// that design point.
+    fn after_config(cfg: &MachineConfig) -> Self {
+        // The FNV-1a offset basis: the hash of no bytes.
+        let mut h = Self(0xcbf2_9ce4_8422_2325);
+        let _ = h.write_str(&cfg.stable_key());
+        h
+    }
+}
+
+impl fmt::Write for Fnv1a {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        for &b in s.as_bytes() {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
+        }
+        Ok(())
+    }
+}
+
+/// The content address of each of `cells` on `backend`, `None` where the
+/// algorithm does not apply. The hash state after a design point's
+/// `stable_key()` is computed once per distinct config and each cell
+/// hashes only the rest of its text; a plan holds a few dozen configs at
+/// most, so a linear scan finds them.
+fn cell_keys(cells: &[Cell], salt: &str, backend: BackendKind) -> Vec<Option<u64>> {
+    let mut prefixes: Vec<(MachineConfig, Fnv1a)> = Vec::new();
+    cells
+        .iter()
+        .map(|c| {
+            if !c.applicable() {
+                return None;
+            }
+            let h = match prefixes.iter().find(|(cfg, _)| *cfg == c.cfg) {
+                Some(&(_, h)) => h,
+                None => {
+                    let h = Fnv1a::after_config(&c.cfg);
+                    prefixes.push((c.cfg, h));
+                    h
+                }
+            };
+            Some(c.key_after(h, salt, backend))
+        })
+        .collect()
 }
 
 /// Default cache salt: the kernel + timing revisions. Bumping either
@@ -481,6 +551,7 @@ impl Executor {
         // An absent cache is cold; `--no-cache` never reads it.
         let text = if opts.no_cache { None } else { std::fs::read_to_string(&cache_path).ok() };
         if let Some(text) = text {
+            state.map.reserve(text.lines().count());
             for line in text.lines() {
                 if line.trim().is_empty() {
                     continue;
@@ -529,20 +600,11 @@ impl Executor {
     /// How much of `plan` the cache already covers, without simulating:
     /// `(cached unique cells, total unique cells)`.
     pub fn coverage(&self, plan: &SweepPlan) -> (usize, usize) {
-        let backend = self.backend_for(plan);
+        let keys = cell_keys(&plan.expand(), &self.salt, self.backend_for(plan));
+        let unique: HashSet<u64> = keys.into_iter().flatten().collect();
         let cache = self.cache.lock().unwrap();
-        let mut seen = HashSet::new();
-        let mut cached = 0usize;
-        for c in plan.expand() {
-            if !c.applicable() {
-                continue;
-            }
-            let k = c.key_tiered(&self.salt, backend);
-            if seen.insert(k) && cache.map.contains_key(&k) {
-                cached += 1;
-            }
-        }
-        (cached, seen.len())
+        let cached = unique.iter().filter(|k| cache.map.contains_key(k)).count();
+        (cached, unique.len())
     }
 
     /// Run one plan to completion: fan out the unique uncached cells,
@@ -557,26 +619,27 @@ impl Executor {
         );
         let backend = self.backend_for(plan);
         let cells = plan.expand();
+        // Each cell is keyed once: for the partition and the reduction.
+        let keys = cell_keys(&cells, &self.salt, backend);
         let mut report = ExecReport::default();
         // Partition into unique missing work under one cache lock.
-        let mut missing: Vec<(u64, Cell)> = Vec::new();
+        let mut missing: Vec<(u64, &Cell)> = Vec::new();
         let mut unique = HashSet::new();
         {
             let cache = self.cache.lock().unwrap();
             let refreshed = self.refreshed.lock().unwrap();
-            for c in &cells {
-                if !c.applicable() {
+            for (c, &k) in cells.iter().zip(&keys) {
+                let Some(k) = k else {
                     report.skipped += 1;
                     continue;
-                }
+                };
                 report.total += 1;
-                let k = c.key_tiered(&self.salt, backend);
                 if !unique.insert(k) {
                     continue;
                 }
                 let stale = self.opts.force && !refreshed.contains(&k);
                 if stale || !cache.map.contains_key(&k) {
-                    missing.push((k, c.clone()));
+                    missing.push((k, c));
                 } else {
                     report.hit += 1;
                 }
@@ -631,12 +694,10 @@ impl Executor {
         // Ordered reduction: every applicable cell resolves from the map.
         let cache = self.cache.lock().unwrap();
         let mut rows = Vec::with_capacity(report.total);
-        for c in cells {
-            if !c.applicable() {
+        for (c, k) in cells.into_iter().zip(keys) {
+            // Inapplicable, or the tier declined (applicability raced): no row.
+            let Some(m) = k.and_then(|k| cache.map.get(&k)) else {
                 continue;
-            }
-            let Some(m) = cache.map.get(&c.key_tiered(&self.salt, backend)) else {
-                continue; // the tier declined (applicability raced); row left out
             };
             rows.push(GridRow {
                 model: c.model,
@@ -710,20 +771,20 @@ impl Executor {
 /// [`lv_sim::Machine::new_group`]) unless they prefetch, which makes L2
 /// residency steer the L1. The fast tier prices a cell in O(1), so each
 /// cell is its own pass there.
-fn kernel_passes(missing: &[(u64, Cell)], backend: BackendKind) -> Vec<Vec<usize>> {
+fn kernel_passes(missing: &[(u64, &Cell)], backend: BackendKind) -> Vec<Vec<usize>> {
     if backend != BackendKind::Cycle {
         return (0..missing.len()).map(|i| vec![i]).collect();
     }
     let mut passes: Vec<Vec<usize>> = Vec::new();
-    let mut by_key: HashMap<String, usize> = HashMap::new();
+    let mut by_key: HashMap<(MachineConfig, ConvShape, Algo), usize> = HashMap::new();
     for (i, (_, c)) in missing.iter().enumerate() {
         if c.cfg.sw_prefetch {
             passes.push(vec![i]);
             continue;
         }
+        // Everything but the L2 picks the pass.
         let sans_l2 = MachineConfig { l2: MachineConfig::default().l2, ..c.cfg };
-        let key = format!("{}|{:?}|{}", sans_l2.stable_key(), c.shape, c.algo.name());
-        match by_key.entry(key) {
+        match by_key.entry((sans_l2, c.shape, c.algo)) {
             Entry::Occupied(e) => passes[*e.get()].push(i),
             Entry::Vacant(e) => {
                 e.insert(passes.len());
@@ -746,18 +807,44 @@ fn cache_line(key: u64, m: &CellMetrics) -> String {
     )
 }
 
-/// Parse one cache line; `None` on any corruption (bad JSON, missing or
-/// mistyped fields, non-finite metrics) — the caller skips and resimulates.
+/// Parse one line in the shape [`cache_line`] writes: its four fields in
+/// its order, no spaces, a 16-digit lower-case hex key, an integer
+/// `cycles` and unsigned decimal metrics. Any other line is `None` — torn
+/// or garbled, reordered or spaced fields, `"cycles":1.9` or `1e8`, a
+/// negative or non-finite metric, a short key, bytes after the `}` — and
+/// the caller counts it as corrupt, skips it and resimulates its cell; it
+/// is never misread.
 fn parse_cache_line(line: &str) -> Option<(u64, CellMetrics)> {
-    let v = lv_trace::json::parse(line).ok()?;
-    let key = u64::from_str_radix(v.get("k")?.as_str()?, 16).ok()?;
-    let cycles_f = v.get("cycles")?.as_f64()?;
-    let avg_vl = v.get("avg_vl")?.as_f64()?;
-    let l2_miss = v.get("l2_miss")?.as_f64()?;
-    if !(cycles_f >= 0.0 && avg_vl.is_finite() && l2_miss.is_finite()) {
+    let (key, rest) = line.strip_prefix("{\"k\":\"")?.split_at_checked(16)?;
+    if !key.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f')) {
         return None;
     }
-    Some((key, CellMetrics { cycles: cycles_f as u64, avg_vl, l2_miss_rate: l2_miss }))
+    let (cycles, rest) = number(rest.strip_prefix("\",\"cycles\":")?)?;
+    let (avg_vl, rest) = number(rest.strip_prefix(",\"avg_vl\":")?)?;
+    let (l2_miss, rest) = number(rest.strip_prefix(",\"l2_miss\":")?)?;
+    if rest != "}" {
+        return None;
+    }
+    let m = CellMetrics {
+        cycles: cycles.parse().ok()?,
+        avg_vl: avg_vl.parse().ok()?,
+        l2_miss_rate: l2_miss.parse().ok()?,
+    };
+    let key = u64::from_str_radix(key, 16).ok()?;
+    (m.avg_vl.is_finite() && m.l2_miss_rate.is_finite()).then_some((key, m))
+}
+
+/// Split an unsigned decimal — digits, then optionally `.` and more
+/// digits — off the front of `s`.
+fn number(s: &str) -> Option<(&str, &str)> {
+    let digits = |s: &str| s.bytes().take_while(u8::is_ascii_digit).count();
+    let int = digits(s);
+    let end = match s[int..].strip_prefix('.').map(digits) {
+        Some(0) => return None,
+        Some(frac) => int + 1 + frac,
+        None => int,
+    };
+    (int > 0).then(|| s.split_at(end))
 }
 
 #[cfg(test)]
@@ -845,6 +932,87 @@ mod tests {
         assert_ne!(c.key_tiered("s", BackendKind::Cycle), c.key_tiered("s", BackendKind::Fast));
     }
 
+    /// The text a cell's content address is the FNV-1a hash of: the key's
+    /// definition, kept as the oracle for the streamed hash.
+    fn canon(c: &Cell, salt: &str, backend: BackendKind) -> String {
+        let s = &c.shape;
+        let tier = match backend {
+            BackendKind::Cycle => String::new(),
+            BackendKind::Fast => format!("|backend=fast|f{}", lv_sim::FAST_MODEL_REV),
+        };
+        format!(
+            "{}|shape={},{},{},{},{},{},{},{}|algo={}|salt={salt}{tier}",
+            c.cfg.stable_key(),
+            s.ic,
+            s.ih,
+            s.iw,
+            s.oc,
+            s.kh,
+            s.kw,
+            s.stride,
+            s.pad,
+            c.algo.name(),
+        )
+    }
+
+    #[test]
+    fn streamed_keys_hash_the_canonical_text() {
+        let mut sets: Vec<Vec<Cell>> = Vec::new();
+        for scale in [1.0, 0.12] {
+            sets.push(paper2_plan(scale).expand());
+            sets.extend(p1_plans(scale).iter().map(SweepPlan::expand));
+        }
+        // Design points no plan sweeps: software prefetch, and a 4-lane
+        // decoupled machine.
+        let mut odd = Vec::new();
+        for cfg in [
+            MachineConfig::a64fx_like(),
+            MachineConfig { lanes: 4, ..MachineConfig::rvv_decoupled(2048, 1) },
+        ] {
+            for shape in [tiny_shape(), ConvShape::same_pad(3, 4, 6, 1, 2)] {
+                for algo in ALL_ALGOS {
+                    odd.push(Cell { model: "m".into(), layer: 1, shape, cfg, algo });
+                }
+            }
+        }
+        sets.push(odd);
+        let salt = default_salt();
+        let mut checked = 0;
+        for cells in &sets {
+            for backend in [BackendKind::Cycle, BackendKind::Fast] {
+                let keys = cell_keys(cells, &salt, backend);
+                for (c, k) in cells.iter().zip(keys) {
+                    let want = lv_sim::fnv1a(canon(c, &salt, backend).as_bytes());
+                    assert_eq!(c.key_tiered(&salt, backend), want, "{c:?}");
+                    assert_eq!(k, c.applicable().then_some(want), "{c:?}");
+                    checked += 1;
+                }
+            }
+        }
+        assert!(checked > 10_000, "{checked}");
+    }
+
+    /// No simulation: the committed cell cache read through the loader.
+    #[test]
+    fn the_committed_cache_loads_whole_and_covers_the_warm_plans() {
+        let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../results/cache");
+        let text = std::fs::read_to_string(dir.join("cells.jsonl")).unwrap();
+        for line in text.lines() {
+            let (k, m) = parse_cache_line(line).unwrap_or_else(|| panic!("corrupt: {line}"));
+            assert_eq!(cache_line(k, &m), line);
+        }
+        // `coverage` only reads the cache; nothing is written to `dir`.
+        let exec = Executor::new(ExecOptions { cache_dir: Some(dir), ..Default::default() });
+        assert_eq!(exec.corrupt_lines(), 0);
+        let mut plans = vec![paper2_plan(1.0)];
+        plans.extend(p1_plans(1.0));
+        for plan in &plans {
+            let (cached, unique) = exec.coverage(plan);
+            assert!(unique > 0);
+            assert_eq!(cached, unique, "{}", plan.id());
+        }
+    }
+
     #[test]
     fn plan_backend_defaults_to_cycle_and_is_overridable() {
         let p = SweepPlan::new("t");
@@ -874,14 +1042,11 @@ mod tests {
         let mut cached = HashSet::new();
         let mut got = Vec::new();
         for plan in &plans {
-            let missing: Vec<(u64, Cell)> = plan
-                .expand()
-                .into_iter()
-                .filter(|c| c.applicable())
-                .filter_map(|c| {
-                    let k = c.key_tiered("s", BackendKind::Cycle);
-                    cached.insert(k).then_some((k, c))
-                })
+            let cells = plan.expand();
+            let missing: Vec<(u64, &Cell)> = cells
+                .iter()
+                .zip(cell_keys(&cells, "s", BackendKind::Cycle))
+                .filter_map(|(c, k)| k.filter(|&k| cached.insert(k)).map(|k| (k, c)))
                 .collect();
             let passes = kernel_passes(&missing, BackendKind::Cycle);
             // Members of a pass differ only in the L2, in `missing` order.

@@ -139,22 +139,47 @@ fn row_order_is_independent_of_worker_count() {
 #[test]
 fn corrupted_cache_lines_are_skipped_and_resimulated() {
     let dir = temp_cache_dir("corrupt");
-    let plan = tiny_plan();
+    let plan = l2_plan();
     let (rows, cold) = run(&Executor::new(opts(&dir)), &plan);
 
-    // Vandalise the cache: truncate one line mid-JSON, garble another,
-    // and append pure noise.
+    // Vandalise the first lines, one way each: a torn write, a garbled
+    // key, then spellings the executor never writes (most of them valid
+    // JSON with sane values); then append pure noise.
     let path = dir.join("cells.jsonl");
     let text = std::fs::read_to_string(&path).unwrap();
     let lines: Vec<&str> = text.lines().collect();
     assert_eq!(lines.len(), cold.simulated);
+    let cell = |k: &str, c: &str, a: &str, l: &str| {
+        format!("{{\"k\":\"{k}\",\"cycles\":{c},\"avg_vl\":{a},\"l2_miss\":{l}}}")
+    };
+    let vandalise = |i: usize, line: &str| {
+        let f: Vec<&str> =
+            line[1..line.len() - 1].split(',').map(|f| f.split(':').nth(1).unwrap()).collect();
+        let (k, c, a, l) = (f[0].trim_matches('"'), f[1], f[2], f[3]);
+        Some(match i {
+            0 => line[..line.len() / 2].to_string(),
+            1 => cell("zz-not-hex", "1", "1", "0"),
+            2 => format!("{{\"k\": \"{k}\",\"cycles\": {c},\"avg_vl\": {a},\"l2_miss\": {l}}}"),
+            3 => format!("{{\"cycles\":{c},\"k\":\"{k}\",\"avg_vl\":{a},\"l2_miss\":{l}}}"),
+            4 => cell(k, "1.9", a, l),
+            5 => cell(k, "1e8", a, l),
+            6 => cell(k, c, &format!("-{a}"), l),
+            7 => cell(k, c, a, "1e999"),
+            8 => cell(&k[1..], c, a, l),
+            9 => format!("{line} "),
+            10 => format!("{line}{{}}"),
+            _ => return None,
+        })
+    };
     let mut vandalised = String::new();
+    let mut destroyed = Vec::new();
     for (i, line) in lines.iter().enumerate() {
-        match i {
-            0 => vandalised.push_str(&line[..line.len() / 2]), // torn write
-            1 => vandalised
-                .push_str("{\"k\":\"zz-not-hex\",\"cycles\":1,\"avg_vl\":1,\"l2_miss\":0}"),
-            _ => vandalised.push_str(line),
+        match vandalise(i, line) {
+            Some(bad) => {
+                vandalised.push_str(&bad);
+                destroyed.push(&line[6..22]);
+            }
+            None => vandalised.push_str(line),
         }
         vandalised.push('\n');
     }
@@ -162,11 +187,15 @@ fn corrupted_cache_lines_are_skipped_and_resimulated() {
     std::fs::write(&path, vandalised).unwrap();
 
     let exec = Executor::new(opts(&dir));
-    assert_eq!(exec.corrupt_lines(), 3, "torn + garbled + noise lines all skipped");
+    assert_eq!(exec.corrupt_lines(), destroyed.len() + 1, "every vandalised line and the noise");
     let (rows2, rep) = run(&exec, &plan);
-    assert_eq!(rep.simulated, 2, "only the two destroyed cells resimulate");
-    assert_eq!(rep.hit, rep.unique - 2);
+    assert_eq!(rep.simulated, destroyed.len(), "only the destroyed cells resimulate");
+    assert_eq!(rep.hit, rep.unique - destroyed.len());
     assert_eq!(rows2.len(), rows.len());
+    // Each destroyed cell, and no other, was appended again.
+    let file = std::fs::read_to_string(&path).unwrap();
+    let appended: Vec<&str> = file.lines().skip(lines.len() + 1).map(|l| &l[6..22]).collect();
+    assert_eq!(appended, destroyed);
 
     // And the repair was persisted: next executor is fully warm again.
     let (_, healed) = run(&Executor::new(opts(&dir)), &plan);

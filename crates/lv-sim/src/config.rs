@@ -10,7 +10,7 @@ use serde::{Deserialize, Serialize};
 /// vector unit (reads through the L1 data cache, like ARM-SVE or the RVV unit
 /// in the `plct-gem5` fork), while Paper I's RISC-VV model is a *decoupled*
 /// VPU attached directly to the L2 cache through a small vector buffer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum VpuStyle {
     /// Vector memory operations probe L1, then L2, then main memory.
     Integrated,
@@ -20,7 +20,7 @@ pub enum VpuStyle {
 }
 
 /// Geometry of one cache level. Every level holds [`LINE_BYTES`] lines.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct CacheGeometry {
     /// Total capacity in bytes.
     pub size_bytes: usize,
@@ -107,7 +107,7 @@ pub const COST: CostModel = CostModel {
 /// core around them is fixed: [`COST`], [`L1`], [`LINE_BYTES`] and
 /// [`CLOCK_HZ`]. Build one from a preset plus field updates and check it
 /// with [`MachineConfig::validate`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct MachineConfig {
     /// Vector register length in bits (512 .. 16384, powers of two).
     pub vlen_bits: usize,
